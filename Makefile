@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-json bench-service tables tune report examples cover fuzz profile determinism crash-test smoke chaos-test archive-test clean
+.PHONY: all build test vet bench bench-json bench-service bench-selftest tables tune report examples cover fuzz profile determinism crash-test smoke chaos-test archive-test clean
 
 all: build vet test
 
@@ -40,6 +40,13 @@ bench-json:
 # BENCH_service.json.
 bench-service:
 	GO=$(GO) bash scripts/service_bench.sh
+
+# The repository benchmark's own tests (benchmark/ is a separate module
+# built against this tree). They pin what the benchmark reads from the
+# service: replica spans carrying their run index, lease counters at zero
+# off the fleet, and fleet artifacts byte-identical to single-node ones.
+bench-selftest:
+	cd benchmark && $(GO) vet . && $(GO) test -count=1 .
 
 # Regenerate the paper's tables at paper budgets (writes to stdout).
 tables:

@@ -14,11 +14,12 @@
 // mcoptd is also the coordinator of an optional runner fleet: cmd/mcoptrunner
 // processes register over the same API, lease contiguous replica windows of
 // running jobs, and commit computed replicas back into the job's checkpoint
-// journal. A job started while at least one runner is live is distributed;
-// with an empty fleet everything runs locally as before. Leases expire after
-// -lease-ttl without a heartbeat (the range is re-leased to a live runner),
-// runners are presumed dead after -runner-ttl of silence, and if the whole
-// fleet dies mid-job the coordinator computes the remainder itself — result
+// journal. While no runner is live, mcoptd computes a job's replicas
+// in-process on -run-workers workers, and a runner that registers mid-job
+// takes over the replicas not yet started. Leases expire after -lease-ttl
+// without a heartbeat (the range is re-leased to a live runner), runners
+// are presumed dead after -runner-ttl of silence, and if the whole fleet
+// dies mid-job the coordinator computes the remainder itself — result
 // bytes are identical no matter which machines did the work (README
 // "Running a runner fleet", DESIGN.md §14).
 //

@@ -81,12 +81,12 @@ type temperChain struct {
 	stat      ChainStat
 
 	// Round scratch, reset by the engine before each round.
-	base    int64 // budget mark of the round's first granted move
-	grant   int64
-	events  []Event   // buffered only when a hook is installed
-	improvs []float64 // chain-local best costs, in improvement order
-	bestSol Solution  // clone at the last chain-local improvement
-	best    float64   // chain-local best (seeded with the global best)
+	base     int64 // budget mark of the round's first granted move
+	grant    int64
+	events   []Event   // buffered only when a hook is installed
+	improvs  []float64 // chain-local best costs, in improvement order
+	bestSol  Solution  // clone at the last chain-local improvement
+	best     float64   // chain-local best (seeded with the global best)
 	panicked any
 }
 

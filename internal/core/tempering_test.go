@@ -14,9 +14,9 @@ type constG struct {
 	prob float64
 }
 
-func (g constG) Name() string                    { return "const" }
-func (g constG) K() int                          { return g.k }
-func (g constG) Gate() int                       { return g.gate }
+func (g constG) Name() string                       { return "const" }
+func (g constG) K() int                             { return g.k }
+func (g constG) Gate() int                          { return g.gate }
 func (g constG) Prob(int, float64, float64) float64 { return g.prob }
 
 // batchLattice is a lattice with the BatchEvaluator capability. Candidates

@@ -398,11 +398,11 @@ func (t *Table) Commit(id string, epoch uint64, slot int, payload []byte) error 
 	return nil
 }
 
-// CommitLocal records slot's payload outside any lease — the coordinator's
-// own fallback path when no live runner remains. If a lease still nominally
-// holds the slot it is revoked from that lease (a later commit from the
-// presumed-dead runner gets a NotHeldError, or an idempotent nil if it
-// retried after this). Idempotent.
+// CommitLocal records slot's payload outside any lease — a slot the
+// coordinator computed in-process while no runner was live. If a lease
+// still nominally holds the slot it is revoked from that lease (a later
+// commit from the presumed-dead runner gets a NotHeldError, or an
+// idempotent nil if it retried after this). Idempotent.
 func (t *Table) CommitLocal(slot int, payload []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -419,20 +419,6 @@ func (t *Table) CommitLocal(slot int, payload []byte) error {
 	t.holder[slot] = nil
 	t.decRemainingLocked()
 	return nil
-}
-
-// Uncommitted snapshots the slots not yet committed, in ascending order —
-// the coordinator's local-fallback work list.
-func (t *Table) Uncommitted() []int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var slots []int
-	for s := 0; s < t.n; s++ {
-		if !t.committed[s] {
-			slots = append(slots, s)
-		}
-	}
-	return slots
 }
 
 // Expired describes one lease the sweep retired, for logs and metrics.

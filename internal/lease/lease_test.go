@@ -311,7 +311,7 @@ func TestCommitLocalRevokesHolder(t *testing.T) {
 	if err := tbl.Commit(g.ID, g.Epoch, 1, []byte("p")); err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Uncommitted()) != 0 {
+	if tbl.Remaining() != 0 {
 		t.Fatal("slots left uncommitted")
 	}
 }

@@ -46,8 +46,8 @@ type Label struct {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
-	consts   []Label      // prepended to every sample's label set
-	collects []func()     // run before each exposition (gauge refresh)
+	consts   []Label  // prepended to every sample's label set
+	collects []func() // run before each exposition (gauge refresh)
 }
 
 // NewRegistry returns an empty registry. The given constant labels are

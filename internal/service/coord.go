@@ -1,27 +1,25 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
 	"time"
 
-	"mcopt/internal/checkpoint"
 	"mcopt/internal/lease"
-	"mcopt/problem"
 )
 
 // The coordinator is mcoptd's side of distributed execution: it tracks the
 // runner fleet (registration with a build-fingerprint handshake, liveness
 // by heartbeat recency), serves lease grants over running jobs' replica
 // grids, and routes renewals and commits to the right job's lease table.
-// A job is distributed only when at least one live runner is registered at
-// the moment it starts; with an empty fleet the manager runs it locally on
-// the scheduler exactly as before, and if the whole fleet dies mid-job the
-// coordinator's fallback loop computes the remaining slots itself — the
-// service degrades to a single node, it never strands a job.
+// Every running job has a lease table and is attached here (runJob), so a
+// live runner can lease from any of them; while no runner is live the
+// manager computes the uncommitted slots in-process instead. A fleet that
+// registers mid-job takes over the slots not yet started, and one that dies
+// mid-job hands them back — the service degrades to a single node, it
+// never strands a job.
 
 // runnerInfo is one registered fleet member.
 type runnerInfo struct {
@@ -227,149 +225,4 @@ func (c *coordinator) traceLease(j *Job, name string, attrs map[string]string) {
 	}
 	span := j.trace.Start(j.runSpan, name, attrs)
 	j.trace.End(span)
-}
-
-// runDistributed executes one job's grid through the lease table: remote
-// runners acquire windows and commit replica payloads over HTTP; this loop
-// sweeps expired leases back into the pool and, when the whole fleet has
-// gone dark, computes the remaining slots itself. The journal, the results
-// grid, and the final artifact are built exactly as in the local path, so
-// the result bytes cannot reveal which machines did the work.
-func (m *Manager) runDistributed(ctx context.Context, j *Job) (retErr error) {
-	spec := &j.Spec
-	prob, err := compile(spec)
-	if err != nil {
-		return fmt.Errorf("compile: %w", err)
-	}
-	j.mu.Lock()
-	j.problem = prob.Desc
-	j.mu.Unlock()
-
-	dir := m.jobDir(j.ID)
-	cfg := &checkpoint.Config{Dir: dir, Resume: true}
-	journal, err := cfg.Journal("job", spec.Fingerprint())
-	if err != nil {
-		return err
-	}
-	defer journal.Close()
-
-	n := spec.Runs
-	results := make([]RunResult, n)
-	restored := make([]int, 0, n)
-	if err := journal.Restore(n, func(slot int, payload []byte) error {
-		var rr RunResult
-		if err := json.Unmarshal(payload, &rr); err != nil {
-			return err
-		}
-		results[slot] = rr
-		restored = append(restored, slot)
-		return nil
-	}); err != nil {
-		return err
-	}
-	j.setProgress(journal.Len())
-
-	// The job's checkpoint journal is the lease-commit log: the table's
-	// commit hook appends each slot exactly once, and the journal's per-slot
-	// idempotency plus payload purity make any crash/re-lease interleaving
-	// converge on identical bytes. The hook also keeps the results grid and
-	// progress counter current. It runs under the table lock; it must not
-	// call back into the table or the coordinator.
-	table := lease.New(n, lease.Options{
-		TTL:   m.cfg.LeaseTTL,
-		Chunk: m.cfg.LeaseChunk,
-		// Expiry is detected lazily by lease operations as well as by the
-		// sweep below; the hook sees every retirement exactly once.
-		OnExpire: func(ex lease.Expired) {
-			m.obs.leasesExpired.Inc()
-			m.coord.traceLease(j, "re-lease", map[string]string{
-				"lease":  ex.ID,
-				"runner": ex.Runner,
-				"freed":  fmt.Sprintf("%d", len(ex.Freed)),
-			})
-			m.cfg.Logf("service: job %s: lease %s (runner %s) expired, re-leasing %d slot(s)",
-				j.ID, ex.ID, ex.Runner, len(ex.Freed))
-		},
-		Commit: func(slot int, payload []byte) error {
-			var rr RunResult
-			if err := json.Unmarshal(payload, &rr); err != nil {
-				return fmt.Errorf("slot %d payload: %w", slot, err)
-			}
-			if rr.Run != slot {
-				return fmt.Errorf("slot %d payload claims run %d", slot, rr.Run)
-			}
-			if err := journal.Append(ctx, slot, payload); err != nil {
-				return err
-			}
-			results[slot] = rr // serialized by the table lock the hook runs under
-			j.setProgress(journal.Len())
-			return nil
-		},
-	})
-	for _, slot := range restored {
-		table.MarkCommitted(slot)
-	}
-
-	if err := m.coord.attach(j, table); err != nil {
-		return err
-	}
-	defer m.coord.detach(j.ID)
-	m.cfg.Logf("service: job %s: distributed across fleet (%d slot(s) to lease)", j.ID, table.Remaining())
-
-	sweep := time.NewTicker(m.cfg.LeaseTTL / 2)
-	defer sweep.Stop()
-	for {
-		select {
-		case <-table.Done():
-			return commitResult(j, dir, spec, prob.Desc, results)
-		case <-ctx.Done():
-			// Cancelled or draining: the journal holds every committed slot,
-			// so a resumed job — local or distributed — picks up from here.
-			return ctx.Err()
-		case <-sweep.C:
-		}
-		// Force expiry detection even when no runner is polling; the
-		// OnExpire hook records each retirement.
-		table.ExpireDead()
-		// Fleet gone dark? Compute one slot locally per pass, re-checking
-		// liveness between slots so a recovering fleet takes the work back.
-		if m.coord.live() == 0 {
-			if err := m.localFallback(ctx, j, spec, prob, table); err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				return err
-			}
-		}
-	}
-}
-
-// localFallback computes the first uncommitted slot on the coordinator
-// itself. CommitLocal revokes the slot from any presumed-dead holder; if
-// that runner turns out to be alive and commits anyway, the table answers
-// idempotently and the bytes agree, because the payload is a pure function
-// of (spec, slot).
-func (m *Manager) localFallback(ctx context.Context, j *Job, spec *JobSpec, prob *problem.Instance, table *lease.Table) error {
-	slots := table.Uncommitted()
-	if len(slots) == 0 {
-		return nil
-	}
-	slot := slots[0]
-	m.cfg.Logf("service: job %s: no live runners, computing slot %d locally", j.ID, slot)
-	m.obs.leaseCommits.With(commitLocal).Inc()
-	if j.trace != nil {
-		span := j.trace.Start(j.runSpan, "replica", map[string]string{
-			"run": fmt.Sprintf("%d", slot), "fallback": "local",
-		})
-		defer j.trace.End(span)
-	}
-	rr, err := computeReplica(ctx, spec, prob, slot, m.engineHook())
-	if err != nil {
-		return err
-	}
-	payload, err := json.Marshal(rr)
-	if err != nil {
-		return err
-	}
-	return table.CommitLocal(slot, payload)
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
@@ -225,8 +227,8 @@ func TestRegisterRejectsMismatchedFingerprint(t *testing.T) {
 }
 
 // registerManual registers a bare client as a live runner, returning its ID.
-// Register before submitting: a job is distributed only when the fleet is
-// non-empty as it starts.
+// Register before submitting: with an empty fleet the manager starts
+// computing the job in-process.
 func registerManual(t *testing.T, c *runnerclient.Client) string {
 	t.Helper()
 	reg, err := c.Register(context.Background(), "manual", fingerprintFor(t))
@@ -332,5 +334,135 @@ func TestGrantSpecRoundTrips(t *testing.T) {
 	m.mu.Unlock()
 	if spec.Fingerprint() != want.Spec.Fingerprint() {
 		t.Fatal("grant spec fingerprint differs from the job's")
+	}
+}
+
+// streamRecords reads a job's NDJSON event stream in the background; the
+// returned channel yields every record once the stream ends.
+func streamRecords(t *testing.T, ts *httptest.Server, id string) <-chan []StreamRecord {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan []StreamRecord, 1)
+	go func() {
+		defer resp.Body.Close()
+		var recs []StreamRecord
+		dec := json.NewDecoder(resp.Body)
+		for {
+			var rec StreamRecord
+			if dec.Decode(&rec) != nil {
+				break
+			}
+			recs = append(recs, rec)
+		}
+		out <- recs
+	}()
+	return out
+}
+
+// waitProgress polls until the job has journaled at least n replicas.
+func waitProgress(t *testing.T, ts *httptest.Server, id string, n int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st := getStatus(t, ts, id)
+		if st.DoneRuns >= n {
+			return
+		}
+		if st.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("job %s in state %s with %d replica(s), want %d", id, st.State, st.DoneRuns, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFleetDeathFinishesWithinTwoSweeps lets a ghost runner take the whole
+// grid and die. The first sweep that finds no live runner must compute
+// every remaining slot in-process — not one slot per sweep — and stream
+// their engine records like any in-process replica.
+func TestFleetDeathFinishesWithinTwoSweeps(t *testing.T) {
+	cfg := Config{LeaseTTL: 2 * time.Second, RunnerTTL: 200 * time.Millisecond}
+	sweep := cfg.LeaseTTL / 2
+	m, ts := testServer(t, cfg)
+	took := make(chan struct{})
+	var once atomic.Bool
+	stop := startRunner(t, ts, "ghost", func(ctx context.Context, g *runnerclient.LeaseGrant, slot int) ([]byte, error) {
+		if once.CompareAndSwap(false, true) {
+			close(took)
+		}
+		return nil, context.Canceled
+	})
+	waitLive(t, m, 1)
+
+	const runs = 8
+	id, code := submit(t, ts, fmt.Sprintf(`{"problem":{"kind":"gola","cells":12,"nets":60},"budget":600,"runs":%d,"seed":7}`, runs), "")
+	if code != 201 {
+		t.Fatalf("submit: %d", code)
+	}
+	records := streamRecords(t, ts, id)
+	select {
+	case <-took:
+		stop()
+	case <-time.After(20 * time.Second):
+		t.Fatal("ghost runner never acquired a lease")
+	}
+	stopped := time.Now()
+	waitState(t, ts, id, StateDone)
+	if d := time.Since(stopped); d > 2*sweep {
+		t.Fatalf("job finished %v after the fleet died, want within two sweep intervals (%v)", d, 2*sweep)
+	}
+
+	seen := map[string]bool{}
+	for _, rec := range <-records {
+		if rec.Type == "event" {
+			seen[rec.Event.Run] = true
+		}
+	}
+	for i := 0; i < runs; i++ {
+		if !seen[fmt.Sprintf("run@%d", i)] {
+			t.Fatalf("no run@%d engine records for an in-process slot; saw %v", i, seen)
+		}
+	}
+	if v, _ := scrape(t, ts).Value("mcoptd_lease_commits_total", map[string]string{"result": "local"}); v != runs {
+		t.Fatalf("lease_commits{local} = %v, want %d", v, runs)
+	}
+}
+
+// midJobSpec is sized so a test that reacts to the first committed
+// replicas still finds the job in-process with replicas left to run.
+func midJobSpec() string {
+	return `{"problem":{"kind":"gola","cells":30,"nets":150},"budget":20000,"runs":6,"seed":11}`
+}
+
+// TestFleetTakesOverMidJob starts a job with an empty fleet and registers a
+// runner once the manager has committed a replica in-process: the runner
+// must lease the slots not yet started, and the artifact must still match
+// a single-node run byte for byte. Two in-process workers put concurrent
+// local commits beside the runner's.
+func TestFleetTakesOverMidJob(t *testing.T) {
+	golden := localGolden(t, midJobSpec())
+
+	cfg := fleetConfig()
+	cfg.RunWorkers = 2
+	_, ts := testServer(t, cfg)
+	id, code := submit(t, ts, midJobSpec(), "")
+	if code != 201 {
+		t.Fatalf("submit: %d", code)
+	}
+	waitProgress(t, ts, id, 1)
+	startRunner(t, ts, "late", nil)
+
+	waitState(t, ts, id, StateDone)
+	if got := getResult(t, ts, id); !bytes.Equal(got, golden) {
+		t.Fatal("result after hand-over differs from single-node run")
+	}
+	exp := scrape(t, ts)
+	if v, _ := exp.Value("mcoptd_leases_granted_total", map[string]string{"mode": "fresh"}); v < 1 {
+		t.Fatalf("leases_granted{fresh} = %v, want ≥ 1 (the late runner's windows)", v)
+	}
+	if v, _ := exp.Value("mcoptd_lease_commits_total", map[string]string{"result": "local"}); v < 1 {
+		t.Fatalf("lease_commits{local} = %v, want ≥ 1 (slots computed before hand-over)", v)
 	}
 }

@@ -28,7 +28,6 @@ import (
 //	GET    /healthz             liveness
 //	GET    /readyz              readiness (503 while draining)
 //	GET    /metrics             Prometheus text exposition of the obs registry
-//	GET    /metricsz            legacy human-readable telemetry view
 //
 // Every route runs under the obs middleware, which records request counts
 // and latency histograms per route pattern and status code.
@@ -75,7 +74,6 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 	handle("GET /healthz", s.healthz, true)
 	handle("GET /readyz", s.readyz, true)
 	handle("GET /metrics", s.metrics, true)
-	handle("GET /metricsz", s.metricsz, true)
 	return mux
 }
 
@@ -326,8 +324,8 @@ func (s *server) commitLease(w http.ResponseWriter, r *http.Request) {
 	s.m.coord.touchLease(r.PathValue("id"))
 	dj, tableID, ok := s.m.coord.route(r.PathValue("id"))
 	if !ok {
-		// The job finished or fell back: either way its slots are durable or
-		// re-owned, so the runner should abandon the window, not retry.
+		// The job finished or stopped: its committed slots are durable, so
+		// the runner should abandon the window, not retry.
 		s.m.obs.leaseCommits.With(commitEpoch).Inc()
 		writeFleetError(w, http.StatusConflict, runnerclient.CodeEpoch,
 			"lease "+r.PathValue("id")+": job is no longer being distributed")
@@ -402,14 +400,4 @@ func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	_, _ = w.Write(data)
-}
-
-// metricsz is the legacy human-readable telemetry view (queue gauges plus
-// merged engine telemetry, rendered for terminals); scrapers should use
-// /metrics instead.
-func (s *server) metricsz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if err := s.m.RenderMetrics(w); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-	}
 }

@@ -62,8 +62,8 @@ type Status struct {
 	// Problem is the compiled instance description ("gola (15 cells, 150
 	// nets)"); empty until the job first runs.
 	Problem string `json:"problem,omitempty"`
-	// DoneRuns counts completed replicas (including ones restored from the
-	// job's checkpoint journal); TotalRuns is Spec.Runs.
+	// DoneRuns counts the replicas recorded in the job's checkpoint journal
+	// (restored ones included); TotalRuns is Spec.Runs.
 	DoneRuns  int `json:"done_runs"`
 	TotalRuns int `json:"total_runs"`
 	// BestCost is the best replica cost, present once the job is done.

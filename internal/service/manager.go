@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,7 +19,6 @@ import (
 	"mcopt/internal/atomicio"
 	"mcopt/internal/buildinfo"
 	"mcopt/internal/core"
-	"mcopt/internal/metrics"
 	"mcopt/internal/obs"
 )
 
@@ -123,10 +121,9 @@ type Manager struct {
 	running  int
 	nextSeq  int64
 	draining bool
-	agg      metrics.RunMetrics // merged engine telemetry of completed replicas
-	obs      *serverMetrics     // registry-backed service metrics
-	coord    *coordinator       // distributed-execution state (always non-nil)
-	arch     *archive.Archive   // run archive; nil when ArchiveDir is unset
+	obs      *serverMetrics   // registry-backed service metrics
+	coord    *coordinator     // distributed-execution state (always non-nil)
+	arch     *archive.Archive // run archive; nil when ArchiveDir is unset
 
 	runCtx    context.Context
 	runCancel context.CancelFunc
@@ -582,17 +579,7 @@ func (m *Manager) execute(j *Job) {
 		j.runSpan = j.trace.Start(j.rootSpan, "run", nil)
 	}
 	started := time.Now()
-
-	// Distribute across the fleet when at least one live runner is
-	// registered as the job starts; otherwise run locally exactly as a
-	// single node would. The choice is invisible in the result artifact —
-	// both paths commit identical bytes.
-	var err error
-	if m.coord.live() > 0 {
-		err = m.runDistributed(ctx, j)
-	} else {
-		err = run(ctx, j, m.jobDir(j.ID), m.cfg.RunWorkers, m.mergeMetrics, m.engineHook())
-	}
+	err := m.runJob(ctx, j)
 
 	m.obs.runSeconds.Observe(time.Since(started).Seconds())
 	j.mu.Lock()
@@ -654,14 +641,6 @@ func (m *Manager) persistFailure(j *Job, runErr error) {
 	}
 }
 
-// mergeMetrics folds a finished job's engine telemetry into the server
-// aggregate exposed on /metricsz.
-func (m *Manager) mergeMetrics(rm *metrics.RunMetrics) {
-	m.mu.Lock()
-	m.agg.Merge(rm)
-	m.mu.Unlock()
-}
-
 // Draining reports whether Stop has begun; /readyz keys off it.
 func (m *Manager) Draining() bool {
 	m.mu.Lock()
@@ -718,7 +697,7 @@ func (m *Manager) Stop(ctx context.Context) error {
 	return err
 }
 
-// QueueStats is the gauge snapshot /metricsz reports.
+// QueueStats is the gauge snapshot behind the /metrics job and queue gauges.
 type QueueStats struct {
 	Pending, MaxQueue, Running, Workers          int
 	Queued, Done, Failed, Cancelled, RunningJobs int
@@ -755,22 +734,4 @@ func (m *Manager) Stats() QueueStats {
 		}
 	}
 	return st
-}
-
-// RenderMetrics writes the /metricsz text exposition: queue gauges plus the
-// merged engine telemetry of every completed replica.
-func (m *Manager) RenderMetrics(w io.Writer) error {
-	st := m.Stats()
-	var agg metrics.RunMetrics
-	m.mu.Lock()
-	agg.Merge(&m.agg)
-	m.mu.Unlock()
-
-	if _, err := fmt.Fprintf(w,
-		"jobs:          %d total — %d queued, %d running, %d done, %d failed, %d cancelled\nqueue:         %d/%d pending, %d/%d running\n\n",
-		st.Total, st.Queued, st.RunningJobs, st.Done, st.Failed, st.Cancelled,
-		st.Pending, st.MaxQueue, st.Running, st.Workers); err != nil {
-		return err
-	}
-	return agg.Render(w)
 }

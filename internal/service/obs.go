@@ -45,7 +45,7 @@ const (
 	commitEpoch     = "epoch"     // dead or superseded lease, rejected
 	commitNotHeld   = "not_held"  // slot stolen from the lease, rejected
 	commitError     = "error"     // journal or payload failure
-	commitLocal     = "local"     // coordinator fallback, no live runners
+	commitLocal     = "local"     // computed in-process by the manager
 )
 
 // serverMetrics owns every service-level instrument plus the engine bridge.
@@ -117,7 +117,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		leasesExpired: reg.Counter("mcoptd_leases_expired_total",
 			"Leases expired for missed heartbeats; their slots were re-leased."),
 		leaseCommits: reg.CounterVec("mcoptd_lease_commits_total",
-			"Lease slot commits, by result (duplicate = idempotent replay; local = coordinator fallback).",
+			"Lease slot commits, by result (duplicate = idempotent replay; local = computed in-process by the manager).",
 			"result"),
 		retired: reg.Counter("mcoptd_jobs_retired_total",
 			"Terminal jobs compacted into the run archive and removed from the job store."),

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"mcopt/internal/obs"
@@ -252,45 +251,6 @@ func TestObsDisabledDeterminism(t *testing.T) {
 	}
 	if v := exp.Sum("mcopt_engine_proposals_total", nil); v != 0 {
 		t.Fatalf("engine metrics recorded despite DisableObs: %v", v)
-	}
-}
-
-// TestRenderMetrics covers the legacy human-readable view directly at the
-// manager level: queue gauges plus merged engine telemetry.
-func TestRenderMetrics(t *testing.T) {
-	m, ts := testServer(t, Config{})
-	id := loadServer(t, ts)
-
-	var sb strings.Builder
-	if err := m.RenderMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"jobs:", "1 done", "queue:", "runs:          2",
-		"proposals:", "improvements:", "level",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("RenderMetrics missing %q:\n%s", want, out)
-		}
-	}
-
-	// The rendered run count matches the job's replica count in the
-	// status — RenderMetrics draws on the merged telemetry of completed
-	// replicas, not the stream.
-	st := getStatus(t, ts, id)
-	if st.DoneRuns != 2 {
-		t.Fatalf("done runs %d", st.DoneRuns)
-	}
-
-	// A second render over unchanged state is identical (Merge is
-	// deterministic and Render has no hidden clock).
-	var sb2 strings.Builder
-	if err := m.RenderMetrics(&sb2); err != nil {
-		t.Fatal(err)
-	}
-	if sb2.String() != out {
-		t.Fatal("RenderMetrics not deterministic across calls")
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"mcopt/internal/checkpoint"
 )
 
 func testContext(t *testing.T) (context.Context, context.CancelFunc) {
@@ -177,5 +179,61 @@ func TestRestartPreservesTerminalStates(t *testing.T) {
 	id, code := submit(t, ts2, smallSpec(), "done-key")
 	if code != http.StatusOK || id != doneID {
 		t.Fatalf("idempotency after restart: code %d id %s, want 200 %s", code, id, doneID)
+	}
+}
+
+// TestResumeProgressCountsJournaledReplicas pins that a job's progress is
+// its journal length: a drained job reports exactly the replicas its
+// journal holds, and the resumed job's state records never count down.
+func TestResumeProgressCountsJournaledReplicas(t *testing.T) {
+	dir := t.TempDir()
+	m1, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(NewHandler(m1, HandlerConfig{}))
+	id, _ := submit(t, ts1, midJobSpec(), "")
+	waitProgress(t, ts1, id, 2)
+	stopCtx, cancel := testContext(t)
+	if err := m1.Stop(stopCtx); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	ts1.Close()
+
+	drained := getStatusDirect(t, m1, id)
+	if drained.State != StateQueued {
+		t.Fatalf("drained job in state %s, want queued", drained.State)
+	}
+	j, err := m1.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, err := (&checkpoint.Config{Dir: m1.jobDir(id), Resume: true}).Journal("job", j.Spec.Fingerprint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaled := journal.Len()
+	journal.Close()
+	if drained.DoneRuns != journaled {
+		t.Fatalf("drained status reports %d replica(s) done, journal holds %d", drained.DoneRuns, journaled)
+	}
+
+	_, ts2 := testServer(t, Config{Dir: dir})
+	records := streamRecords(t, ts2, id)
+	waitState(t, ts2, id, StateDone)
+	var dones []int
+	for _, rec := range <-records {
+		if rec.Type == "state" {
+			dones = append(dones, rec.Done)
+		}
+	}
+	for i := 1; i < len(dones); i++ {
+		if dones[i] < dones[i-1] {
+			t.Fatalf("resumed progress ran backwards: done = %v", dones)
+		}
+	}
+	if len(dones) == 0 || dones[len(dones)-1] != drained.TotalRuns {
+		t.Fatalf("resumed progress ended at %v, want %d", dones, drained.TotalRuns)
 	}
 }

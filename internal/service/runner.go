@@ -7,10 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"mcopt/internal/atomicio"
 	"mcopt/internal/checkpoint"
 	"mcopt/internal/core"
+	"mcopt/internal/lease"
 	"mcopt/internal/metrics"
 	"mcopt/internal/rng"
 	"mcopt/internal/runnerclient"
@@ -85,7 +87,7 @@ type Result struct {
 // stream: the run skeleton (start, level transitions, best-so-far records,
 // descent completions, end), not the per-proposal firehose — a budget of
 // millions of moves must not emit millions of lines to every watcher. The
-// full event mix still reaches /metricsz through the RunMetrics hook.
+// full event mix still reaches /metrics through the obs engine bridge.
 func streamedKind(k core.EventKind) bool {
 	switch k {
 	case core.EventStart, core.EventLevel, core.EventBest, core.EventDescent,
@@ -95,15 +97,16 @@ func streamedKind(k core.EventKind) bool {
 	return false
 }
 
-// run executes the job's replica grid: open (or resume) the journal,
-// restore recorded replicas, compute the remainder on the scheduler, append
-// each fresh replica to the journal, and commit the result artifact
-// atomically. agg, when non-nil, receives the merged engine telemetry of
-// the freshly computed replicas; engineHook, when non-nil, is teed into
-// every replica's event stream (the obs registry bridge). Neither observer
-// can influence the search, so the result artifact is byte-identical with
-// or without them — the smoke test's obs-off stage pins this.
-func run(ctx context.Context, j *Job, dir string, workers int, agg func(*metrics.RunMetrics), engineHook core.Hook) (retErr error) {
+// runJob executes one job's replica grid; every job runs through it. It
+// opens (or resumes) the job's checkpoint journal, builds a lease table
+// over the grid with the journal as its commit log, and attaches the table
+// to the coordinator so registered runners can lease windows of it.
+// Whenever no live runner is registered — as the job starts, or after the
+// whole fleet has died — the manager computes the uncommitted slots
+// in-process (computeLocal). Every slot, wherever it was computed, is the
+// same pure function of (spec, index) committed through the same hook, so
+// the result bytes cannot reveal which machines did the work.
+func (m *Manager) runJob(ctx context.Context, j *Job) error {
 	spec := &j.Spec
 	prob, err := compile(spec)
 	if err != nil {
@@ -113,6 +116,7 @@ func run(ctx context.Context, j *Job, dir string, workers int, agg func(*metrics
 	j.problem = prob.Desc
 	j.mu.Unlock()
 
+	dir := m.jobDir(j.ID)
 	cfg := &checkpoint.Config{Dir: dir, Resume: true}
 	journal, err := cfg.Journal("job", spec.Fingerprint())
 	if err != nil {
@@ -120,45 +124,121 @@ func run(ctx context.Context, j *Job, dir string, workers int, agg func(*metrics
 	}
 	defer journal.Close()
 
+	// The journal is the lease-commit log: the table's commit hook appends
+	// each slot exactly once, and the journal's per-slot idempotency plus
+	// payload purity make any crash/re-lease interleaving converge on
+	// identical bytes. The hook also keeps the results grid and the
+	// progress counter current; progress counts journaled replicas only, so
+	// it never runs backwards across a resume. The hook runs under the
+	// table lock; it must not call back into the table or the coordinator.
 	n := spec.Runs
 	results := make([]RunResult, n)
+	table := lease.New(n, lease.Options{
+		TTL:   m.cfg.LeaseTTL,
+		Chunk: m.cfg.LeaseChunk,
+		// Expiry is detected lazily by lease operations as well as by the
+		// sweep below; the hook sees every retirement exactly once.
+		OnExpire: func(ex lease.Expired) {
+			m.obs.leasesExpired.Inc()
+			m.coord.traceLease(j, "re-lease", map[string]string{
+				"lease":  ex.ID,
+				"runner": ex.Runner,
+				"freed":  fmt.Sprintf("%d", len(ex.Freed)),
+			})
+			m.cfg.Logf("service: job %s: lease %s (runner %s) expired, re-leasing %d slot(s)",
+				j.ID, ex.ID, ex.Runner, len(ex.Freed))
+		},
+		Commit: func(slot int, payload []byte) error {
+			var rr RunResult
+			if err := json.Unmarshal(payload, &rr); err != nil {
+				return fmt.Errorf("slot %d payload: %w", slot, err)
+			}
+			if rr.Run != slot {
+				return fmt.Errorf("slot %d payload claims run %d", slot, rr.Run)
+			}
+			// Append refuses when ctx is cancelled: a budget cut short
+			// mid-replica is a partial result, and recording it would make
+			// the resumed job diverge from an uninterrupted one.
+			if err := journal.Append(ctx, slot, payload); err != nil {
+				return err
+			}
+			results[slot] = rr // serialized by the table lock the hook runs under
+			j.setProgress(journal.Len())
+			return nil
+		},
+	})
+	// The table is not attached yet, so marking restored slots here cannot
+	// race a commit.
 	if err := journal.Restore(n, func(slot int, payload []byte) error {
-		var rr RunResult
-		if err := json.Unmarshal(payload, &rr); err != nil {
+		if err := json.Unmarshal(payload, &results[slot]); err != nil {
 			return err
 		}
-		results[slot] = rr
+		table.MarkCommitted(slot)
 		return nil
 	}); err != nil {
 		return err
 	}
 	j.setProgress(journal.Len())
 
-	var rm metrics.RunMetrics
-	rm.BudgetLimit = int64(n-journal.Len()) * spec.Budget
-	if agg != nil {
-		defer func() { agg(&rm) }()
+	if err := m.coord.attach(j, table); err != nil {
+		return err
+	}
+	defer m.coord.detach(j.ID)
+	if m.coord.live() > 0 {
+		m.cfg.Logf("service: job %s: distributed across fleet (%d slot(s) to lease)", j.ID, table.Remaining())
 	}
 
-	opts := sched.Options{
-		Workers: workers,
-		Ctx:     ctx,
-		Skip:    journal.Done,
-		Progress: func(done, total int) {
-			j.setProgress(done)
-		},
+	sweep := time.NewTicker(m.cfg.LeaseTTL / 2)
+	defer sweep.Stop()
+	for {
+		if m.coord.live() == 0 {
+			if err := m.computeLocal(ctx, j, prob, table); err != nil {
+				return err
+			}
+		}
+		select {
+		case <-table.Done():
+			return commitResult(j, dir, spec, prob.Desc, results)
+		case <-ctx.Done():
+			// Cancelled or draining: the journal holds every committed slot,
+			// so a resumed job picks up from here.
+			return ctx.Err()
+		case <-sweep.C:
+		}
+		// Force expiry detection even when no runner is polling; the
+		// OnExpire hook records each retirement.
+		table.ExpireDead()
 	}
-	report := sched.Run(n, opts, func(ctx context.Context, i int) error {
+}
+
+// computeLocal computes the table's uncommitted slots in-process on
+// RunWorkers scheduler workers. CommitLocal revokes a slot from any
+// presumed-dead lease holder; if that runner turns out to be alive and
+// commits anyway, the table answers idempotently and the bytes agree.
+// Liveness is re-checked before each slot, so a fleet that registers
+// mid-job takes over every slot not yet started; only the slots already in
+// flight can be computed twice. In-process slots carry the local
+// observables: a replica span, the obs engine hook, and run@<i> records on
+// the job's NDJSON stream. None of them can influence the search, so the
+// result bytes are the same with observability on or off.
+func (m *Manager) computeLocal(ctx context.Context, j *Job, prob *problem.Instance, table *lease.Table) error {
+	engineHook := m.engineHook()
+	opts := sched.Options{Workers: m.cfg.RunWorkers, Ctx: ctx, Skip: table.Committed}
+	report := sched.Run(j.Spec.Runs, opts, func(ctx context.Context, i int) error {
+		if m.coord.live() > 0 {
+			return nil // the fleet computes the rest
+		}
 		if j.trace != nil {
 			span := j.trace.Start(j.runSpan, "replica", map[string]string{"run": fmt.Sprintf("%d", i)})
 			defer j.trace.End(span)
 		}
-		hook := metrics.Tee(rm.Hook(), engineHook, func(e core.Event) {
+		label := fmt.Sprintf("run@%d", i)
+		hook := metrics.Tee(engineHook, func(e core.Event) {
 			if streamedKind(e.Kind) {
-				j.publishEvent(metrics.RecordOf(fmt.Sprintf("run@%d", i), e))
+				j.publishEvent(metrics.RecordOf(label, e))
 			}
 		})
-		rr, err := computeReplica(ctx, spec, prob, i, hook)
+		rr, err := computeReplica(ctx, &j.Spec, prob, i, hook)
 		if err != nil {
 			return err
 		}
@@ -166,26 +246,20 @@ func run(ctx context.Context, j *Job, dir string, workers int, agg func(*metrics
 		if err != nil {
 			return err
 		}
-		// Append refuses when ctx is cancelled: a budget cut short mid-cell
-		// is a partial result, and recording it would make the resumed job
-		// diverge from an uninterrupted one.
-		if err := journal.Append(ctx, i, payload); err != nil {
+		if err := table.CommitLocal(i, payload); err != nil {
 			return err
 		}
-		results[i] = rr
+		m.obs.leaseCommits.With(commitLocal).Inc()
 		return nil
 	})
-	if err := report.Err(); err != nil {
-		return err
-	}
-	return commitResult(j, dir, spec, prob.Desc, results)
+	return report.Err()
 }
 
 // computeReplica computes replica i of the spec's grid: the pure function
-// of (spec, i) behind every run surface. The local scheduler, the
-// coordinator's fallback path, and remote runners (through ReplicaComputer)
-// all call it, which is what makes their payloads interchangeable byte for
-// byte. hook observes engine events and may be nil.
+// of (spec, i) behind every run surface. The manager's in-process workers
+// and remote runners (through ReplicaComputer) both call it, which is what
+// makes their payloads interchangeable byte for byte. hook observes engine
+// events and may be nil.
 func computeReplica(ctx context.Context, spec *JobSpec, prob *problem.Instance, i int, hook core.Hook) (RunResult, error) {
 	g, ys, err := newG(prob, spec)
 	if err != nil {
@@ -246,8 +320,8 @@ func computeReplica(ctx context.Context, spec *JobSpec, prob *problem.Instance, 
 }
 
 // commitResult builds and atomically writes the result artifact from a
-// complete results grid. Local and distributed execution both end here, so
-// the artifact bytes cannot depend on which path computed the replicas.
+// complete results grid. Every job ends here, so the artifact bytes cannot
+// depend on which machines computed the replicas.
 func commitResult(j *Job, dir string, spec *JobSpec, problemDesc string, results []RunResult) error {
 	if j.trace != nil {
 		span := j.trace.Start(j.runSpan, "commit", nil)
