@@ -14,6 +14,8 @@ package mcopt_test
 import (
 	"fmt"
 	"io"
+	"math"
+	"sync/atomic"
 	"testing"
 
 	"mcopt"
@@ -384,9 +386,12 @@ func BenchmarkFigure1Hooks(b *testing.B) {
 }
 
 // BenchmarkHookObs measures the obs registry bridge the service tees into
-// every replica: atomic counters plus the per-level copy-on-grow cache.
+// every replica, on one linarr chain: a per-run tally of plain increments,
+// published to the shared counters at level transitions and run end.
 // Compare against BenchmarkFigure1Hooks/nil and /metrics — the bridge should
 // sit near the metrics variant, since both are a few increments per decision.
+// One core cannot show contention on the shared counters;
+// BenchmarkHookObsParallel does.
 func BenchmarkHookObs(b *testing.B) {
 	nl := mcopt.RandomGraph(mcopt.Stream("bench/hooks", 1), 15, 150)
 	start := mcopt.RandomArrangement(nl, mcopt.Stream("bench/hooks-start", 1))
@@ -401,6 +406,49 @@ func BenchmarkHookObs(b *testing.B) {
 			b.Fatal("empty run")
 		}
 	}
+}
+
+// BenchmarkHookObsParallel runs replicas of the small-jobs max-cut spec
+// (48 vertices, 180 edges, 8000 moves, g = 1) on every core through
+// b.RunParallel, one op per replica. The served variant observes each
+// replica as mcoptd does: a fresh EngineCollector hook, shared counters
+// behind it, teed with a filter that keeps the run skeleton its job stream
+// carries. A hook that touched the shared counters per proposal would make
+// concurrent replicas contend for their cache lines; against the nil
+// variant this shows what observing a served replica costs.
+func BenchmarkHookObsParallel(b *testing.B) {
+	g := maxcut.Random(mcopt.Stream("bench/hookpar", 1), 48, 180)
+	start := maxcut.RandomCut(g, mcopt.Stream("bench/hookpar-start", 1))
+	col := metrics.NewEngineCollector(obs.NewRegistry())
+	run := func(b *testing.B, served bool) {
+		var seed atomic.Uint64
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			var last metrics.Record
+			skeleton := func(e mcopt.Event) {
+				switch e.Kind {
+				case core.EventPropose, core.EventAccept, core.EventReject:
+				default:
+					last = metrics.RecordOf("run@0", e)
+				}
+			}
+			for pb.Next() {
+				var hook mcopt.Hook
+				if served {
+					hook = metrics.Tee(col.Hook(), skeleton)
+				}
+				sol := maxcut.NewSolution(start.Clone())
+				res := mcopt.Figure1{G: mcopt.GOne(), Hook: hook}.Run(sol, mcopt.NewBudget(8000),
+					mcopt.DeriveStream("bench/hookpar-run", 1, seed.Add(1)))
+				if res.Moves == 0 {
+					b.Error("empty run")
+				}
+			}
+			_ = last
+		})
+	}
+	b.Run("nil", func(b *testing.B) { run(b, false) })
+	b.Run("served", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkTempering measures the replica-exchange engine's aggregate
@@ -644,6 +692,25 @@ func BenchmarkMaxCut(b *testing.B) {
 		if len(t.Rows) != 7 {
 			b.Fatal("unexpected X3 shape")
 		}
+	}
+}
+
+// BenchmarkMaxCutPropose measures the proposal the engines see: one op is
+// a Solution.Propose — a random vertex and its O(degree) flip delta — read
+// through Delta, on BenchmarkMaxCutFlip's instance. The move lives in the
+// Solution, so a proposal allocates nothing.
+func BenchmarkMaxCutPropose(b *testing.B) {
+	g := maxcut.Random(mcopt.Stream("bench/maxcut", 1), 4096, 16384)
+	s := maxcut.NewSolution(maxcut.RandomCut(g, mcopt.Stream("bench/maxcut-start", 1)))
+	r := mcopt.Stream("bench/maxcut-propose", 1)
+	var sum float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum += s.Propose(r).Delta()
+	}
+	if math.IsNaN(sum) {
+		b.Fatal("NaN delta")
 	}
 }
 

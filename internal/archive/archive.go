@@ -74,6 +74,7 @@ type Archive struct {
 	sealed []*sealedSegment // ascending sequence number
 	active *activeSegment   // nil in read-only mode when no active file exists
 	ids    map[string]struct{}
+	enc    frameEncoder // reused by every append
 	closed bool
 }
 
@@ -236,7 +237,11 @@ func (a *Archive) Append(rec *Record) error {
 	if _, dup := a.ids[rec.ID]; dup {
 		return nil
 	}
-	if err := a.active.append(rec); err != nil {
+	frame, err := a.enc.encode(rec)
+	if err != nil {
+		return err
+	}
+	if err := a.active.append(rec, frame); err != nil {
 		return err
 	}
 	a.ids[rec.ID] = struct{}{}

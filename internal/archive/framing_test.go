@@ -2,12 +2,21 @@ package archive
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 )
+
+// encodeFrame frames one record with a fresh encoder.
+func encodeFrame(rec *Record) ([]byte, error) {
+	var enc frameEncoder
+	return enc.encode(rec)
+}
 
 // writeFrames builds a segment file from records, returning the byte
 // offset of each frame so tests can corrupt a specific one.
@@ -195,5 +204,63 @@ func TestFrameLengthSanity(t *testing.T) {
 	var ce *CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("implausible length: got %v", err)
+	}
+}
+
+// TestReusedEncoderMatchesFreshWriter pins that reusing one compressor
+// across appends leaves the frame bytes unchanged: the frame an archive
+// appends after earlier records, and the frame a reused encoder returns,
+// both equal the record framed by hand with a fresh flate.Writer.
+func TestReusedEncoderMatchesFreshWriter(t *testing.T) {
+	rec := testRecord(7)
+	rec.Envelope = []byte(`{"runs":[{"run":0,"best_cost":93}],"best_cost":93}`)
+	raw, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var comp bytes.Buffer
+	zw, err := flate.NewWriter(&comp, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw.Write(raw)
+	zw.Close()
+	want := binary.LittleEndian.AppendUint32(nil, uint32(len(raw)))
+	want = binary.LittleEndian.AppendUint32(want, uint32(comp.Len()))
+	want = append(want, comp.Bytes()...)
+	want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(want))
+
+	var enc frameEncoder
+	for i := 0; i < 3; i++ {
+		if _, err := enc.encode(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := enc.encode(rec); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("reused encoder frame differs from a fresh writer's (err %v)", err)
+	}
+
+	dir := t.TempDir()
+	a := openTest(t, dir, 0)
+	defer a.Close()
+	for i := 0; i < 5; i++ {
+		if err := a.Append(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, activeName)
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := data[before.Size():]; !bytes.Equal(got, want) {
+		t.Fatalf("appended frame (%d bytes) differs from a fresh writer's (%d bytes)", len(got), len(want))
 	}
 }

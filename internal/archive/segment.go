@@ -89,8 +89,19 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("archive: %s: corrupt frame at offset %d: %s", e.Path, e.Offset, e.Reason)
 }
 
-// encodeFrame compresses and frames one record.
-func encodeFrame(rec *Record) ([]byte, error) {
+// frameEncoder compresses and frames records, reusing one flate.Writer and
+// one frame buffer across records. flate.Writer.Reset makes the writer
+// equivalent to a fresh one, so a frame's bytes do not depend on the
+// records encoded before it. Not safe for concurrent use: the archive holds
+// its encoder under the mutex that serializes appends.
+type frameEncoder struct {
+	zw  *flate.Writer
+	buf bytes.Buffer
+}
+
+// encode returns the framed record. The frame aliases the encoder's buffer
+// and is valid until the next encode.
+func (e *frameEncoder) encode(rec *Record) ([]byte, error) {
 	raw, err := json.Marshal(rec)
 	if err != nil {
 		return nil, fmt.Errorf("archive: encode record %s: %w", rec.ID, err)
@@ -98,25 +109,29 @@ func encodeFrame(rec *Record) ([]byte, error) {
 	if len(raw) > maxRecordBytes {
 		return nil, fmt.Errorf("archive: record %s is %d bytes (limit %d)", rec.ID, len(raw), maxRecordBytes)
 	}
-	var comp bytes.Buffer
-	zw, err := flate.NewWriter(&comp, flate.BestSpeed)
-	if err != nil {
+	e.buf.Reset()
+	var lens [8]byte
+	e.buf.Write(lens[:]) // filled in once the compressed length is known
+	if e.zw == nil {
+		if e.zw, err = flate.NewWriter(&e.buf, flate.BestSpeed); err != nil {
+			return nil, err
+		}
+	} else {
+		e.zw.Reset(&e.buf)
+	}
+	if _, err := e.zw.Write(raw); err != nil {
 		return nil, err
 	}
-	if _, err := zw.Write(raw); err != nil {
+	if err := e.zw.Close(); err != nil {
 		return nil, err
 	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	frame := make([]byte, 8+comp.Len()+4)
+	frame := e.buf.Bytes()
 	binary.LittleEndian.PutUint32(frame[:4], uint32(len(raw)))
-	binary.LittleEndian.PutUint32(frame[4:8], uint32(comp.Len()))
-	copy(frame[8:], comp.Bytes())
-	crc := crc32.NewIEEE()
-	crc.Write(frame[:8+comp.Len()])
-	binary.LittleEndian.PutUint32(frame[8+comp.Len():], crc.Sum32())
-	return frame, nil
+	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(frame)-8))
+	var sum [4]byte
+	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(frame))
+	e.buf.Write(sum[:])
+	return e.buf.Bytes(), nil
 }
 
 // frameReader iterates the frames of one segment stream.
@@ -291,12 +306,8 @@ func (s *activeSegment) reset() error {
 	return syncDir(filepath.Dir(s.path))
 }
 
-// append frames, writes, and fsyncs one record; durable on return.
-func (s *activeSegment) append(rec *Record) error {
-	frame, err := encodeFrame(rec)
-	if err != nil {
-		return err
-	}
+// append writes and fsyncs one record's frame; durable on return.
+func (s *activeSegment) append(rec *Record, frame []byte) error {
 	if _, err := s.f.Write(frame); err != nil {
 		return fmt.Errorf("archive: append %s: %w", rec.ID, err)
 	}

@@ -16,8 +16,9 @@ type Enumerable interface {
 	NeighborhoodSize() int
 
 	// EvalNeighbor evaluates the perturbation with the given index, in
-	// [0, NeighborhoodSize()). Like Propose, the returned move is
-	// invalidated by any subsequent evaluation or Apply.
+	// [0, NeighborhoodSize()). Like Propose, the returned move may live in
+	// the Solution's move storage, and any subsequent call to EvalNeighbor,
+	// Propose, Apply, or Descend invalidates it.
 	EvalNeighbor(idx int) Move
 }
 

@@ -22,7 +22,11 @@ type Solution interface {
 	// Propose draws a random perturbation of the current state. The move is
 	// NOT applied; the caller inspects Delta and either calls Apply exactly
 	// once or drops the move. A move is invalidated by any subsequent call
-	// to Propose, Apply, or Descend on the same Solution.
+	// to Propose, EvalNeighbor, Apply, or Descend on the same Solution, so
+	// implementations should return moves stored in the Solution itself and
+	// overwritten by the next proposal: an engine proposes once per budget
+	// unit, and a move allocated per proposal costs an allocation per unit.
+	// Clone must not share that storage.
 	Propose(r *rand.Rand) Move
 
 	// Clone returns a deep copy sharing no mutable state with the receiver.

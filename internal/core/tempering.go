@@ -196,6 +196,32 @@ func (t Tempering) Run(s Solution, b *Budget, r *rand.Rand) Result {
 		deltas = make([]float64, K*batch)
 	}
 
+	// stepWorker steps chains claimed from next until none is left. It is
+	// built once per run, so a round's goroutines allocate nothing.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	stepWorker := func() {
+		defer wg.Done()
+		for {
+			c := int(next.Add(1) - 1)
+			if c >= K {
+				return
+			}
+			ch := chains[c]
+			if ch.grant == 0 {
+				continue
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						ch.panicked = p
+					}
+				}()
+				t.step(ch, gate, hooked, batchSlice(deltas, c, batch))
+			}()
+		}
+	}
+
 	for round := int64(0); ; round++ {
 		// Grant phase (engine goroutine, ascending chain order): the grant
 		// sequence is a pure function of the budget and E, never of timing.
@@ -226,31 +252,10 @@ func (t Tempering) Run(s Solution, b *Budget, r *rand.Rand) Result {
 				}
 			}
 		} else {
-			var next atomic.Int64
-			var wg sync.WaitGroup
+			next.Store(0)
+			wg.Add(workers)
 			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						c := int(next.Add(1) - 1)
-						if c >= K {
-							return
-						}
-						ch := chains[c]
-						if ch.grant == 0 {
-							continue
-						}
-						func() {
-							defer func() {
-								if p := recover(); p != nil {
-									ch.panicked = p
-								}
-							}()
-							t.step(ch, gate, hooked, batchSlice(deltas, c, batch))
-						}()
-					}
-				}()
+				go stepWorker()
 			}
 			wg.Wait()
 			// Re-panic deterministically: the lowest chain's panic wins, as

@@ -17,6 +17,9 @@ import (
 // Figure 1 / tempering) — each falling out of the O(degree) flip delta.
 type Solution struct {
 	c *Cut
+	// mv is the storage behind the move Propose and EvalNeighbor return;
+	// the next proposal overwrites it, which the Move contract allows.
+	mv flipMove
 	// batch is the most recent ProposeBatch's candidate vertices; valid
 	// while batchOK and the cut has not mutated since batchSeq.
 	batch    []int32
@@ -65,9 +68,14 @@ func (m *flipMove) Apply() {
 
 // Propose draws a uniform random vertex flip.
 func (s *Solution) Propose(r *rand.Rand) problem.Move {
+	return s.eval(r.IntN(s.c.g.n))
+}
+
+// eval evaluates the flip of vertex v into the solution's move storage.
+func (s *Solution) eval(v int) *flipMove {
 	s.batchOK = false
-	v := r.IntN(s.c.g.n)
-	return &flipMove{c: s.c, v: v, deltaCut: s.c.FlipDelta(v), seq: s.c.seq}
+	s.mv = flipMove{c: s.c, v: v, deltaCut: s.c.FlipDelta(v), seq: s.c.seq}
+	return &s.mv
 }
 
 // Clone returns a deep copy.
@@ -105,8 +113,7 @@ func (s *Solution) EvalNeighbor(idx int) problem.Move {
 	if idx < 0 || idx >= s.c.g.n {
 		panic("maxcut: EvalNeighbor index out of range")
 	}
-	s.batchOK = false
-	return &flipMove{c: s.c, v: idx, deltaCut: s.c.FlipDelta(idx), seq: s.c.seq}
+	return s.eval(idx)
 }
 
 // ProposeBatch draws len(deltas) candidate flips — the same draw recipe,

@@ -2,8 +2,6 @@ package metrics
 
 import (
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"mcopt/internal/core"
 	"mcopt/internal/obs"
@@ -12,18 +10,20 @@ import (
 // EngineCollector bridges the core.Hook event stream into an obs.Registry
 // as Prometheus-style time series: move throughput (rate of
 // mcopt_engine_proposals_total), per-level acceptance (the accepted/proposed
-// counter pair under a bounded `level` label), and best-cost descent (a
-// gauge following EventBest). Unlike RunMetrics it keeps no per-run scratch
-// state, so one collector may observe many replicas concurrently — the
+// counter pair under a bounded `level` label), replica-exchange traffic per
+// chain pair, and best-cost descent (a gauge following EventBest). The
 // service installs a single collector across every job's grid.
 //
-// Overhead is one or two atomic adds per event (BenchmarkHookObs pins it);
-// the per-level counter pair is cached in a copy-on-grow slice so the hot
-// path never takes a lock or formats a label.
+// Each run observes through its own Hook: the hook tallies events in plain
+// fields and publishes the tally to the shared counters at every
+// temperature transition (EventLevel) and at run end (EventEnd). A k-level
+// run therefore touches the shared counters k times, not once or twice per
+// proposal, so concurrent replicas and tempering chains do not contend on
+// their cache lines; a g = 1 run (k = 1) publishes at run end only. Runs
+// started and completed are counted as their events arrive.
 type EngineCollector struct {
 	runsStarted *obs.Counter
 	runsEnded   *obs.Counter
-	proposals   *obs.CounterVec // decision: proposed|accepted|rejected
 	proposed    *obs.Counter
 	accepted    *obs.Counter
 	rejected    *obs.Counter
@@ -36,32 +36,23 @@ type EngineCollector struct {
 
 	exchAttempts *obs.CounterVec
 	exchAccepts  *obs.CounterVec
-
-	mu     sync.Mutex
-	levels atomic.Pointer[[]levelPair] // index: level-1
-	pairs  atomic.Pointer[[]exchPair]  // index: colder chain of the pair
-}
-
-type levelPair struct {
-	proposed, accepted *obs.Counter
-}
-
-type exchPair struct {
-	attempts, accepts *obs.Counter
 }
 
 // NewEngineCollector registers the engine metric families on reg and
 // returns the collector. Registering twice on the same registry returns a
 // collector over the same underlying series.
 func NewEngineCollector(reg *obs.Registry) *EngineCollector {
-	c := &EngineCollector{
+	proposals := reg.CounterVec("mcopt_engine_proposals_total",
+		"Engine move proposals by decision; rate(decision=\"proposed\") is move throughput.",
+		"decision")
+	return &EngineCollector{
 		runsStarted: reg.Counter("mcopt_engine_runs_started_total",
 			"Replica runs the engines have begun."),
 		runsEnded: reg.Counter("mcopt_engine_runs_completed_total",
 			"Replica runs the engines have finished."),
-		proposals: reg.CounterVec("mcopt_engine_proposals_total",
-			"Engine move proposals by decision; rate(decision=\"proposed\") is move throughput.",
-			"decision"),
+		proposed: proposals.With("proposed"),
+		accepted: proposals.With("accepted"),
+		rejected: proposals.With("rejected"),
 		improves: reg.Counter("mcopt_engine_improvements_total",
 			"Best-so-far cost improvements."),
 		descents: reg.Counter("mcopt_engine_descents_total",
@@ -81,98 +72,119 @@ func NewEngineCollector(reg *obs.Registry) *EngineCollector {
 			"Tempering replica exchanges accepted per adjacent chain pair.",
 			"pair"),
 	}
-	c.proposed = c.proposals.With("proposed")
-	c.accepted = c.proposals.With("accepted")
-	c.rejected = c.proposals.With("rejected")
-	empty := []levelPair{}
-	c.levels.Store(&empty)
-	emptyPairs := []exchPair{}
-	c.pairs.Store(&emptyPairs)
-	return c
 }
 
-// Hook returns the callback to install as an engine's Hook field (tee it
-// with other observers via Tee).
-func (c *EngineCollector) Hook() core.Hook { return c.Observe }
-
-// level returns the cached counter pair for a 1-based temperature level,
-// growing the cache on first sight of a new level. The label set is bounded
-// by the schedule length (a few dozen), never by user input.
-func (c *EngineCollector) level(temp int) levelPair {
-	if temp < 1 {
-		temp = 1
-	}
-	if cur := *c.levels.Load(); temp <= len(cur) {
-		return cur[temp-1]
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cur := *c.levels.Load()
-	for len(cur) < temp {
-		label := strconv.Itoa(len(cur) + 1)
-		cur = append(cur, levelPair{
-			proposed: c.levelProposed.With(label),
-			accepted: c.levelAccepted.With(label),
-		})
-	}
-	grown := make([]levelPair, len(cur))
-	copy(grown, cur)
-	c.levels.Store(&grown)
-	return grown[temp-1]
+// Hook returns the callback to install as one run's engine Hook (tee it
+// with other observers via Tee). The hook keeps the run's tally, so it must
+// not be shared by concurrent runs — take one per replica. The engines call
+// it from a single goroutine (Tempering replays its chains' events on the
+// engine goroutine), and after EventEnd it may observe another run.
+func (c *EngineCollector) Hook() core.Hook {
+	t := &runTally{c: c}
+	return t.observe
 }
 
-// pair returns the cached exchange counter pair for the adjacent-chain pair
-// whose colder side is 0-based chain c, growing the cache like level does.
-// The label set is bounded by the chain count.
-func (c *EngineCollector) pair(chain int) exchPair {
-	if chain < 0 {
-		chain = 0
-	}
-	if cur := *c.pairs.Load(); chain < len(cur) {
-		return cur[chain]
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cur := *c.pairs.Load()
-	for len(cur) <= chain {
-		i := len(cur)
-		label := strconv.Itoa(i) + "-" + strconv.Itoa(i+1)
-		cur = append(cur, exchPair{
-			attempts: c.exchAttempts.With(label),
-			accepts:  c.exchAccepts.With(label),
-		})
-	}
-	grown := make([]exchPair, len(cur))
-	copy(grown, cur)
-	c.pairs.Store(&grown)
-	return grown[chain]
+// runTally is one run's unpublished event counts.
+type runTally struct {
+	c *EngineCollector
+
+	proposed, accepted, rejected int64
+	improves, descents           int64
+	best                         float64
+	bestSeen                     bool
+
+	levels []countPair // index: level-1; proposed, accepted
+	pairs  []countPair // index: colder chain of the pair; attempts, accepts
 }
 
-// Observe folds one engine event into the registry.
-func (c *EngineCollector) Observe(e core.Event) {
+// countPair is the two pending counts of one label value — a temperature
+// level or a chain pair — plus their series, fetched on the first flush
+// that has counts for the label. Labels are bounded by the schedule length
+// or the chain count, never by user input.
+type countPair struct {
+	n, m   int64
+	nC, mC *obs.Counter
+}
+
+// at returns element i of *ps, growing the slice to hold it.
+func at(ps *[]countPair, i int) *countPair {
+	for len(*ps) <= i {
+		*ps = append(*ps, countPair{})
+	}
+	return &(*ps)[i]
+}
+
+// observe folds one engine event into the tally, publishing at the flush
+// points.
+func (t *runTally) observe(e core.Event) {
 	switch e.Kind {
 	case core.EventStart:
-		c.runsStarted.Inc()
+		t.c.runsStarted.Inc()
 	case core.EventPropose:
-		c.proposed.Inc()
-		c.level(e.Temp).proposed.Inc()
+		t.proposed++
+		at(&t.levels, max(e.Temp, 1)-1).n++
 	case core.EventAccept:
-		c.accepted.Inc()
-		c.level(e.Temp).accepted.Inc()
+		t.accepted++
+		at(&t.levels, max(e.Temp, 1)-1).m++
 	case core.EventReject:
-		c.rejected.Inc()
+		t.rejected++
+	case core.EventLevel:
+		t.flush()
 	case core.EventDescent:
-		c.descents.Inc()
+		t.descents++
 	case core.EventBest:
-		c.improves.Inc()
-		c.bestCost.Set(e.BestCost)
+		t.improves++
+		t.best, t.bestSeen = e.BestCost, true
 	case core.EventExchange:
-		p := c.pair(e.Chain)
-		p.attempts.Inc()
-		p.accepts.Inc()
+		p := at(&t.pairs, max(e.Chain, 0))
+		p.n++
+		p.m++
 	case core.EventExchangeReject:
-		c.pair(e.Chain).attempts.Inc()
+		at(&t.pairs, max(e.Chain, 0)).n++
 	case core.EventEnd:
-		c.runsEnded.Inc()
+		t.flush()
+		t.c.runsEnded.Inc()
+	}
+}
+
+// flush publishes the tally to the shared series and zeroes it.
+func (t *runTally) flush() {
+	c := t.c
+	publish(c.proposed, &t.proposed)
+	publish(c.accepted, &t.accepted)
+	publish(c.rejected, &t.rejected)
+	publish(c.improves, &t.improves)
+	publish(c.descents, &t.descents)
+	if t.bestSeen {
+		c.bestCost.Set(t.best)
+		t.bestSeen = false
+	}
+	publishPairs(t.levels, c.levelProposed, c.levelAccepted,
+		func(i int) string { return strconv.Itoa(i + 1) })
+	publishPairs(t.pairs, c.exchAttempts, c.exchAccepts,
+		func(i int) string { return strconv.Itoa(i) + "-" + strconv.Itoa(i+1) })
+}
+
+// publishPairs publishes each label's pending pair to the families nv and
+// mv, labelled label(i).
+func publishPairs(ps []countPair, nv, mv *obs.CounterVec, label func(i int) string) {
+	for i := range ps {
+		p := &ps[i]
+		if p.n == 0 && p.m == 0 {
+			continue
+		}
+		if p.nC == nil {
+			p.nC, p.mC = nv.With(label(i)), mv.With(label(i))
+		}
+		publish(p.nC, &p.n)
+		publish(p.mC, &p.m)
+	}
+}
+
+// publish adds a pending count to its counter and zeroes it.
+func publish(ctr *obs.Counter, n *int64) {
+	if *n > 0 {
+		ctr.Add(*n)
+		*n = 0
 	}
 }

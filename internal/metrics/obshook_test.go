@@ -56,9 +56,9 @@ func TestEngineCollector(t *testing.T) {
 	check("mcopt_engine_best_cost", nil, 90)
 }
 
-// TestEngineCollectorConcurrent exercises the copy-on-grow level cache from
-// many goroutines, mimicking a multi-worker replica grid sharing one
-// collector; run with -race.
+// TestEngineCollectorConcurrent runs many per-run hooks of one collector
+// from concurrent goroutines, mimicking a multi-worker replica grid, and
+// checks that their flushed tallies add up; run with -race.
 func TestEngineCollectorConcurrent(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := NewEngineCollector(reg)
@@ -74,6 +74,7 @@ func TestEngineCollectorConcurrent(t *testing.T) {
 				hook(core.Event{Kind: core.EventPropose, Temp: temp})
 				hook(core.Event{Kind: core.EventAccept, Temp: temp})
 			}
+			hook(core.Event{Kind: core.EventEnd})
 		}(w)
 	}
 	wg.Wait()

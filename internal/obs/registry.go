@@ -181,8 +181,10 @@ func (f *family) droppedCount() int64 {
 }
 
 // Counter is a monotonically increasing integer counter. Safe for
-// concurrent use; Inc/Add are single atomic adds, cheap enough for engine
-// hook paths (BenchmarkHookObs pins the cost).
+// concurrent use; Inc/Add are single atomic adds. Concurrent writers still
+// contend for the counter's cache line, so per-event paths should tally
+// locally and Add in batches, as the engine bridge's per-run hooks do
+// (BenchmarkHookObsParallel shows the cost).
 type Counter struct {
 	vals []string
 	v    atomic.Int64

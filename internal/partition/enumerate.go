@@ -19,7 +19,5 @@ func (s *Solution) EvalNeighbor(idx int) core.Move {
 	if idx < 0 || s1 == 0 || idx >= s.NeighborhoodSize() {
 		panic("partition: EvalNeighbor index out of range")
 	}
-	a := s.b.members[0][idx/s1]
-	c := s.b.members[1][idx%s1]
-	return &swapMove{b: s.b, a: a, c: c, delta: s.b.SwapDelta(a, c), seq: s.b.seq}
+	return s.eval(s.b.members[0][idx/s1], s.b.members[1][idx%s1])
 }

@@ -11,6 +11,9 @@ import (
 // preserves balance by construction.
 type Solution struct {
 	b *Bipartition
+	// mv is the storage behind the move Propose and EvalNeighbor return;
+	// the next proposal overwrites it, which the Move contract allows.
+	mv swapMove
 }
 
 var (
@@ -58,7 +61,13 @@ func (s *Solution) Propose(r *rand.Rand) core.Move {
 	}
 	a := b.members[0][r.IntN(len(b.members[0]))]
 	c := b.members[1][r.IntN(len(b.members[1]))]
-	return &swapMove{b: b, a: a, c: c, delta: b.SwapDelta(a, c), seq: b.seq}
+	return s.eval(a, c)
+}
+
+// eval evaluates swapping cells a and c into the solution's move storage.
+func (s *Solution) eval(a, c int) *swapMove {
+	s.mv = swapMove{b: s.b, a: a, c: c, delta: s.b.SwapDelta(a, c), seq: s.b.seq}
+	return &s.mv
 }
 
 type noopMove struct{}

@@ -11,6 +11,12 @@ import (
 // for one closed site.
 type Solution struct {
 	m *Medians
+	// mv is the storage behind the move Propose and EvalNeighbor return;
+	// the next proposal overwrites it, which the Move contract allows.
+	mv swapMove
+	// closed and sweep are scratch for closedSites and for a Descend
+	// sweep's snapshot of the median set.
+	closed, sweep []int
 }
 
 var (
@@ -53,21 +59,29 @@ func (s *Solution) Propose(r *rand.Rand) core.Move {
 	for m.open[in] {
 		in = r.IntN(m.inst.N())
 	}
-	return &swapMove{m: m, out: out, in: in, delta: m.SwapDelta(out, in), seq: m.seq}
+	return s.eval(out, in)
+}
+
+// eval evaluates substituting site in for median out into the solution's
+// move storage.
+func (s *Solution) eval(out, in int) *swapMove {
+	s.mv = swapMove{m: s.m, out: out, in: in, delta: s.m.SwapDelta(out, in), seq: s.m.seq}
+	return &s.mv
 }
 
 // Clone implements core.Solution.
 func (s *Solution) Clone() core.Solution { return &Solution{m: s.m.Clone()} }
 
-// closedSites lists the sites without a median, in ascending order.
+// closedSites lists the sites without a median, in ascending order, in
+// the solution's scratch; the next call overwrites it.
 func (s *Solution) closedSites() []int {
-	out := make([]int, 0, s.m.inst.N()-s.m.inst.p)
+	s.closed = s.closed[:0]
 	for site, open := range s.m.open {
 		if !open {
-			out = append(out, site)
+			s.closed = append(s.closed, site)
 		}
 	}
-	return out
+	return s.closed
 }
 
 // Descend runs Teitz–Bart-style first-improvement interchange sweeps until
@@ -77,7 +91,8 @@ func (s *Solution) Descend(b *core.Budget) bool {
 	const eps = 1e-12
 	for {
 		improved := false
-		for _, out := range s.m.Chosen() {
+		s.sweep = append(s.sweep[:0], s.m.chosen...)
+		for _, out := range s.sweep {
 			if !s.m.open[out] {
 				continue // replaced earlier in this sweep
 			}
@@ -114,9 +129,7 @@ func (s *Solution) EvalNeighbor(idx int) core.Move {
 	if idx < 0 || len(closed) == 0 || idx >= len(s.m.chosen)*len(closed) {
 		panic("pmedian: EvalNeighbor index out of range")
 	}
-	out := s.m.chosen[idx/len(closed)]
-	in := closed[idx%len(closed)]
-	return &swapMove{m: s.m, out: out, in: in, delta: s.m.SwapDelta(out, in), seq: s.m.seq}
+	return s.eval(s.m.chosen[idx/len(closed)], closed[idx%len(closed)])
 }
 
 // Greedy builds a median set by repeatedly opening the site that most

@@ -45,7 +45,8 @@ type Options struct {
 	// thread it into their Budget so in-flight work stops promptly too.
 	Ctx context.Context
 	// Progress, when non-nil, is called after each cell finishes with the
-	// number of cells attempted so far and the total. Calls are serialized.
+	// number of cells attempted so far and the total. Calls are serialized,
+	// and done increases by one per call.
 	Progress func(done, total int)
 	// Checkpoint, when non-nil, makes runs durable: each run surface opens a
 	// fingerprinted write-ahead journal beneath Checkpoint.Dir, appends one
@@ -164,6 +165,17 @@ func Run(n int, o Options, fn func(ctx context.Context, i int) error) *Report {
 
 	var next, done atomic.Int64
 	var progressMu sync.Mutex
+	// finished counts a cell as attempted and reports it. The count is taken
+	// under the progress lock, so Progress sees it strictly increasing.
+	finished := func() {
+		if o.Progress == nil {
+			done.Add(1)
+			return
+		}
+		progressMu.Lock()
+		o.Progress(int(done.Add(1)), n)
+		progressMu.Unlock()
+	}
 	work := func() {
 		for ctx.Err() == nil {
 			i := int(next.Add(1)) - 1
@@ -172,12 +184,7 @@ func Run(n int, o Options, fn func(ctx context.Context, i int) error) *Report {
 			}
 			if o.Skip != nil && o.Skip(i) {
 				r.completed[i] = true
-				attempted := int(done.Add(1))
-				if o.Progress != nil {
-					progressMu.Lock()
-					o.Progress(attempted, n)
-					progressMu.Unlock()
-				}
+				finished()
 				continue
 			}
 			err := protect(ctx, i, func(ctx context.Context, i int) error {
@@ -192,12 +199,7 @@ func Run(n int, o Options, fn func(ctx context.Context, i int) error) *Report {
 			})
 			r.errs[i] = err
 			r.completed[i] = err == nil
-			attempted := int(done.Add(1))
-			if o.Progress != nil {
-				progressMu.Lock()
-				o.Progress(attempted, n)
-				progressMu.Unlock()
-			}
+			finished()
 		}
 	}
 	if workers == 1 {

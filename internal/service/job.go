@@ -116,6 +116,9 @@ type Job struct {
 	// recent is the bounded replay ring; subs are live subscribers.
 	recent []StreamRecord
 	subs   map[*subscriber]struct{}
+	// records is the unused tail of the slab publishEvent carves event
+	// records from.
+	records []metrics.Record
 	// done is closed when the job reaches a terminal state.
 	done chan struct{}
 }
@@ -261,9 +264,21 @@ func (j *Job) setProgress(done int) {
 // publishEvent bridges one engine telemetry record into the stream.
 func (j *Job) publishEvent(rec metrics.Record) {
 	j.mu.Lock()
-	j.publishLocked(StreamRecord{Type: "event", Job: j.ID, Event: &rec})
+	if len(j.records) == 0 {
+		j.records = make([]metrics.Record, recordSlab)
+	}
+	r := &j.records[0]
+	j.records = j.records[1:]
+	*r = rec
+	j.publishLocked(StreamRecord{Type: "event", Job: j.ID, Event: r})
 	j.mu.Unlock()
 }
+
+// recordSlab is how many event records publishEvent carves from one
+// allocation, so a replica streaming a descent record per jump does not
+// allocate per record. A published record is never written again, so
+// records may share a backing array.
+const recordSlab = 64
 
 // publishLocked appends to the replay ring and fans out to live
 // subscribers. A subscriber whose buffer is full loses the record — the

@@ -489,8 +489,8 @@ const (
 	outcomeRequeued  = "requeued"
 )
 
-// engineHook returns the registry bridge hook to tee into replica engines,
-// or nil when per-job observability is disabled.
+// engineHook returns a fresh registry bridge hook for one replica run, or
+// nil when per-job observability is disabled.
 func (m *Manager) engineHook() core.Hook {
 	if m.cfg.DisableObs {
 		return nil

@@ -14,11 +14,11 @@ import (
 // middleware (per-route request counts and latency histograms by status
 // code), job lifecycle metrics (queue-wait and run-duration histograms,
 // jobs-by-state gauges, submit rejections, idempotency hits, worker-pool
-// utilization), and the engine bridge (an EngineCollector teed into every
-// replica's hook). Label cardinality is bounded by construction: routes are
-// mux patterns, states/outcomes/reasons are closed enums, and temperature
-// levels are schedule positions — job IDs and other user input never become
-// labels (DESIGN.md §11).
+// utilization), and the engine bridge (a per-run EngineCollector hook teed
+// into every replica's hook). Label cardinality is bounded by construction:
+// routes are mux patterns, states/outcomes/reasons are closed enums, and
+// temperature levels are schedule positions — job IDs and other user input
+// never become labels (DESIGN.md §11).
 
 // Submit rejection reasons, the label values of mcoptd_submit_rejected_total.
 const (

@@ -16,16 +16,18 @@ import (
 // duplicates a job:
 //
 //  1. build the record and Append it — durable (fsync'd) when Append returns
-//  2. rename the job directory to <id>.retiring
+//  2. rename the job directory to <id>.retiring and drop the job from the
+//     in-memory tables, both under the manager lock, so no API reader sees
+//     a listed job whose directory is gone
 //  3. remove the renamed directory
-//  4. drop the job from the in-memory tables
 //
 // A crash before 1 leaves the directory; the next sweep retries (Append
 // dedups by job ID). A crash between 1 and 2 leaves a directory whose ID
 // the archive already holds; the restart scan finishes the delete. A crash
-// during 3 leaves a .retiring directory, which is by construction always
-// safe to delete. scripts/archive_test.sh kills the daemon inside this
-// window (the "service.retire" fault site) and asserts the invariant.
+// during 3, or a failed removal, leaves a .retiring directory, which is by
+// construction always safe to delete; the next start deletes it.
+// scripts/archive_test.sh kills the daemon inside this window (the
+// "service.retire" fault site) and asserts the invariant.
 
 // retiringSuffix marks a job directory whose record is durably archived and
 // whose deletion is in progress.
@@ -88,18 +90,19 @@ func (m *Manager) retireJob(j *Job) error {
 	}
 	dir := m.jobDir(j.ID)
 	tmp := dir + retiringSuffix
-	if err := os.Rename(dir, tmp); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	if err := os.RemoveAll(tmp); err != nil {
-		return err
-	}
 	m.mu.Lock()
+	if err := os.Rename(dir, tmp); err != nil && !os.IsNotExist(err) {
+		m.mu.Unlock()
+		return err
+	}
 	delete(m.jobs, j.ID)
 	if j.Key != "" && m.byKey[j.Key] == j.ID {
 		delete(m.byKey, j.Key)
 	}
 	m.mu.Unlock()
+	if err := os.RemoveAll(tmp); err != nil {
+		return err
+	}
 	m.obs.retired.Inc()
 	m.cfg.Logf("service: job %s: retired to archive", j.ID)
 	return nil

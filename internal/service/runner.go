@@ -222,7 +222,6 @@ func (m *Manager) runJob(ctx context.Context, j *Job) error {
 // the job's NDJSON stream. None of them can influence the search, so the
 // result bytes are the same with observability on or off.
 func (m *Manager) computeLocal(ctx context.Context, j *Job, prob *problem.Instance, table *lease.Table) error {
-	engineHook := m.engineHook()
 	opts := sched.Options{Workers: m.cfg.RunWorkers, Ctx: ctx, Skip: table.Committed}
 	report := sched.Run(j.Spec.Runs, opts, func(ctx context.Context, i int) error {
 		if m.coord.live() > 0 {
@@ -232,13 +231,7 @@ func (m *Manager) computeLocal(ctx context.Context, j *Job, prob *problem.Instan
 			span := j.trace.Start(j.runSpan, "replica", map[string]string{"run": fmt.Sprintf("%d", i)})
 			defer j.trace.End(span)
 		}
-		label := fmt.Sprintf("run@%d", i)
-		hook := metrics.Tee(engineHook, func(e core.Event) {
-			if streamedKind(e.Kind) {
-				j.publishEvent(metrics.RecordOf(label, e))
-			}
-		})
-		rr, err := computeReplica(ctx, &j.Spec, prob, i, hook)
+		rr, err := computeReplica(ctx, &j.Spec, prob, i, m.replicaHook(j, i))
 		if err != nil {
 			return err
 		}
@@ -253,6 +246,18 @@ func (m *Manager) computeLocal(ctx context.Context, j *Job, prob *problem.Instan
 		return nil
 	})
 	return report.Err()
+}
+
+// replicaHook returns the observer of in-process replica i: a fresh
+// per-run tally of the obs engine bridge (absent with observability off)
+// teed with the filter that streams the run skeleton as run@<i> records.
+func (m *Manager) replicaHook(j *Job, i int) core.Hook {
+	label := fmt.Sprintf("run@%d", i)
+	return metrics.Tee(m.engineHook(), func(e core.Event) {
+		if streamedKind(e.Kind) {
+			j.publishEvent(metrics.RecordOf(label, e))
+		}
+	})
 }
 
 // computeReplica computes replica i of the spec's grid: the pure function

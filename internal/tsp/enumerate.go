@@ -27,15 +27,13 @@ func (t *Tour) EvalNeighbor(idx int) core.Move {
 			panic("tsp: EvalNeighbor index out of range")
 		}
 		m := t.orOptIndex[idx]
-		return &orOptMove{t: t, i: m[0], l: m[1], j: m[2],
-			delta: t.orOptDelta(m[0], m[1], m[2]), seq: t.seq}
+		return t.evalOrOpt(m[0], m[1], m[2])
 	}
 	if idx < 0 || idx >= len(t.twoOptIndex) {
 		panic("tsp: EvalNeighbor index out of range")
 	}
 	m := t.twoOptIndex[idx]
-	return &twoOptMove{t: t, i: m[0], j: m[1],
-		delta: t.twoOptDelta(m[0], m[1]), seq: t.seq}
+	return t.evalTwoOpt(m[0], m[1])
 }
 
 // buildMoveIndex lazily fills the static move tables.

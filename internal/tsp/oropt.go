@@ -63,20 +63,26 @@ func (t *Tour) orOptDelta(i, l, j int) float64 {
 		t.inst.Dist(a, s1) - t.inst.Dist(sl, b) - t.inst.Dist(c, d)
 }
 
-// applyOrOpt commits the move evaluated by orOptDelta.
+// applyOrOpt commits the move evaluated by orOptDelta. Moving the segment
+// past the cities between it and position j is a rotation of the window
+// those cities and the segment span, done in place.
 func (t *Tour) applyOrOpt(i, l, j int, delta float64) {
-	seg := slices.Clone(t.order[i : i+l])
-	rest := slices.Delete(slices.Clone(t.order), i, i+l)
-	// Position j (a pre-removal index) shifts left by l if it followed the
-	// segment.
-	insertAfter := j
 	if j > i {
-		insertAfter -= l
+		// order[i:i+l] moves behind order[i+l:j+1].
+		rotateLeft(t.order[i:j+1], l)
+	} else {
+		// order[i:i+l] moves in front of order[j+1:i].
+		rotateLeft(t.order[j+1:i+l], i-j-1)
 	}
-	out := slices.Insert(rest, insertAfter+1, seg...)
-	copy(t.order, out)
 	t.length += delta
 	t.seq++
+}
+
+// rotateLeft rotates s left by k positions in place.
+func rotateLeft(s []int, k int) {
+	slices.Reverse(s[:k])
+	slices.Reverse(s[k:])
+	slices.Reverse(s)
 }
 
 type orOptMove struct {
@@ -124,8 +130,15 @@ func (t *Tour) proposeOrOpt(r *rand.Rand) core.Move {
 		if !t.orOptLegal(i, l, j) {
 			continue
 		}
-		return &orOptMove{t: t, i: i, l: l, j: j, delta: t.orOptDelta(i, l, j), seq: t.seq}
+		return t.evalOrOpt(i, l, j)
 	}
+}
+
+// evalOrOpt evaluates the or-opt move (i, l, j) into the tour's move
+// storage.
+func (t *Tour) evalOrOpt(i, l, j int) *orOptMove {
+	t.orOptMv = orOptMove{t: t, i: i, l: l, j: j, delta: t.orOptDelta(i, l, j), seq: t.seq}
+	return &t.orOptMv
 }
 
 // descendOrOpt sweeps all (segment, insertion) pairs first-improvement

@@ -2,6 +2,7 @@ package tsp
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"mcopt/internal/core"
@@ -184,5 +185,37 @@ func TestRejectionlessOnTour(t *testing.T) {
 	res := core.Rejectionless{G: stubG{}}.Run(tour, core.NewBudget(50000), r)
 	if res.Reduction() <= 0 {
 		t.Fatal("rejectionless made no progress on TSP")
+	}
+}
+
+// TestOrOptApplyMatchesSpliceReference checks the in-place rotation behind
+// applyOrOpt against the splice it replaces — cut the segment out, reinsert
+// it after position j — over every legal move of a small tour.
+func TestOrOptApplyMatchesSpliceReference(t *testing.T) {
+	const n = 9
+	inst := RandomEuclidean(rng.Stream("oropt-splice", 4), n)
+	start := RandomTour(inst, rng.Stream("oropt-splice-start", 4)).WithMoveKind(OrOpt)
+	for l := 1; l <= 3; l++ {
+		for i := 0; i+l <= n; i++ {
+			for j := 0; j < n; j++ {
+				if !start.orOptLegal(i, l, j) {
+					continue
+				}
+				order := start.Order()
+				seg := slices.Clone(order[i : i+l])
+				rest := slices.Delete(slices.Clone(order), i, i+l)
+				insertAfter := j
+				if j > i {
+					insertAfter -= l
+				}
+				want := slices.Insert(rest, insertAfter+1, seg...)
+
+				tour := start.Clone().(*Tour)
+				tour.applyOrOpt(i, l, j, 0)
+				if got := tour.Order(); !slices.Equal(got, want) {
+					t.Fatalf("or-opt (%d,%d,%d) on %v: got %v, want %v", i, l, j, order, got, want)
+				}
+			}
+		}
 	}
 }

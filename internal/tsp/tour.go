@@ -18,6 +18,10 @@ type Tour struct {
 	length   float64
 	moveKind TourMoveKind
 	seq      uint64
+	// The storage behind the moves Propose and EvalNeighbor return; the
+	// next proposal overwrites it, which the Move contract allows.
+	twoOptMv twoOptMove
+	orOptMv  orOptMove
 	// Static move-index tables for Enumerable, built lazily.
 	twoOptIndex [][2]int
 	orOptIndex  [][3]int
@@ -136,8 +140,14 @@ func (t *Tour) Propose(r *rand.Rand) core.Move {
 		if i == j || j == i+1 || (i == 0 && j == n-1) {
 			continue
 		}
-		return &twoOptMove{t: t, i: i, j: j, delta: t.twoOptDelta(i, j), seq: t.seq}
+		return t.evalTwoOpt(i, j)
 	}
+}
+
+// evalTwoOpt evaluates the 2-opt move (i, j) into the tour's move storage.
+func (t *Tour) evalTwoOpt(i, j int) *twoOptMove {
+	t.twoOptMv = twoOptMove{t: t, i: i, j: j, delta: t.twoOptDelta(i, j), seq: t.seq}
+	return &t.twoOptMv
 }
 
 // Descend performs first-improvement sweeps of the configured move class
