@@ -290,10 +290,28 @@ func BenchmarkSwapEval(b *testing.B) {
 	}
 }
 
+// BenchmarkSwapEvalHyper is BenchmarkSwapEval on the paper's NOLA shape —
+// 15 cells, 150 nets of 2 to 8 pins, the Figure-2 instances — where a net
+// holds several cells and a swap can move one of its second extremes.
+func BenchmarkSwapEvalHyper(b *testing.B) {
+	nl := mcopt.RandomHyper(mcopt.Stream("bench/swap-hyper", 1), 15, 150, 2, 8)
+	a := mcopt.RandomArrangement(nl, mcopt.Stream("bench/swap-hyper-start", 1))
+	a.EvalSwap(0, 14)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := a.EvalSwap(i%14, 14)
+		if m.DeltaInt() < -1000 {
+			b.Fatal("impossible delta")
+		}
+	}
+}
+
 // BenchmarkSwapEvalLarge pins the kernel's size scaling: proposal cost must
-// grow with the nets a move touches (roughly constant here) times log n,
-// not with instance size. The paper's regime (10 nets per cell) is held
-// fixed while n grows well past the paper's 15 cells.
+// grow with the nets a move touches (roughly constant here) plus one pass
+// over the gaps between the two positions, not with the nets' spans. The
+// paper's regime (10 nets per cell) is held fixed while n grows well past
+// the paper's 15 cells.
 func BenchmarkSwapEvalLarge(b *testing.B) {
 	for _, n := range []int{15, 100, 400} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -477,15 +495,13 @@ func BenchmarkTempering(b *testing.B) {
 }
 
 // BenchmarkBatchSwapEval measures per-candidate evaluation cost under
-// batching: one op is one evaluated swap candidate, so ns/op across the B
-// variants shows how far the per-batch setup (settle + the sorted
-// committed-maxima index) amortizes. B=1 pays the setup on every candidate
-// and bounds the worst case; the serial kernel baselines are
-// BenchmarkSwapEval and BenchmarkSwapEvalLarge. The instance is a large
-// sparse graph (n=4096, 2 nets per cell): 64 tree blocks, so the shared
-// index is a real fraction of a candidate's work. On dense paper-regime
-// instances the per-candidate net walks dominate and the B variants
-// converge — amortization grows with block count over nets touched.
+// batching: one op is one evaluated swap candidate. Every candidate goes
+// through the serial evaluator, so the B variants converge; they differ
+// only by the per-batch settle, which B=1 pays on every candidate. The
+// serial kernel baselines are BenchmarkSwapEval and BenchmarkSwapEvalLarge.
+// The instance is a large sparse graph (n=4096, 2 nets per cell): 64 gap
+// blocks, so a swap's window spans many blocks that hold no posted
+// endpoint and are read through their committed maxima.
 func BenchmarkBatchSwapEval(b *testing.B) {
 	nl := mcopt.RandomGraph(mcopt.Stream("bench/batch", 1), 4096, 8192)
 	start := mcopt.RandomArrangement(nl, mcopt.Stream("bench/batch-start", 1))

@@ -4,15 +4,18 @@
 // positions. With two-pin nets this is the GOLA problem; with multi-pin nets
 // it is NOLA (the board permutation problem of [GOTO77] and [COHO83a]).
 //
-// The package provides O(nets-touched · √n) incremental evaluation of
-// pairwise interchanges and single-exchange (remove/reinsert) moves over a
-// two-level lazy range-add/range-max segment tree (see segtree.go),
-// deterministic local search, and adapters implementing core.Solution /
+// The package provides incremental evaluation of pairwise interchanges and
+// single-exchange (remove/reinsert) moves at O(1) per net whose pins move
+// plus one pass over the gaps between the two positions: each net's
+// extreme pin positions are cached, and a move's gap-count changes are
+// posted to a difference array (see segtree.go). It also provides
+// deterministic local search and adapters implementing core.Solution /
 // core.Descender. The proposal path performs no heap allocations.
 package linarr
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 
@@ -27,45 +30,59 @@ import (
 // pins span positions [lo, hi] crosses every gap in [lo, hi). The density is
 // the maximum crossing count over all gaps.
 //
-// Gap counts live in a lazy range-add/range-max segment tree. An Eval*
-// call applies its net-span changes to the tree's proposal overlay and
-// records them in the span log: Apply merges the overlay and promotes the
-// log, while the next Eval* (a rejected proposal) rolls the overlay back
+// Each net's extreme pin positions are cached (see netExt), so a move's
+// new span for a net is O(1). Gap counts live in a gapTree: an Eval* call
+// posts its span changes to the tree's proposal and reads the proposed
+// density; Apply commits the proposal and refreshes the moved nets'
+// extremes, while the next Eval* (a rejected proposal) rolls it back
 // first — committed state is never mutated by an evaluation. The seq
 // counter detects stale moves, so at most one proposal is ever outstanding
 // and the move structs themselves can be reused per arrangement.
 type Arrangement struct {
 	nl      *netlist.Netlist
-	cellAt  []int   // cellAt[pos] = cell occupying the position
-	posOf   []int   // posOf[cell] = the cell's position
-	tree    gapTree // gap-crossing counts (committed state + proposal overlay)
-	netLo   []int   // netLo[n] = leftmost pin position of net n (committed)
-	netHi   []int   // netHi[n] = rightmost pin position of net n (committed)
+	cellAt  []int    // cellAt[pos] = cell occupying the position
+	posOf   []int    // posOf[cell] = the cell's position
+	tree    gapTree  // gap-crossing counts (committed state + proposal)
+	ext     []netExt // ext[n] = net n's extreme pin positions (committed)
 	dens    int
-	spanSum int // Σ over nets of (netHi − netLo): total wirelength
+	spanSum int // Σ over nets of (hi − lo): total wirelength
 
-	// Proposal state: the outstanding move's span changes and reusable
-	// move storage.
-	spans     []spanChange
+	// Proposal state and reusable move storage. An evaluation tags the nets
+	// it visits in netMark with markEpoch (and a swap with markEpoch+1) after
+	// advancing markEpoch by two. netMark is allocated on first use, so the
+	// clones engines keep as best-so-far snapshots never carry it.
 	netMark   []int
 	markEpoch int
 	seq       uint64
 	swapMv    swapMove
 	reinsMv   reinsertMove
 
-	// Canonical-range coalescing for the current evaluation. Every net
-	// whose other pins lie outside the move's window [min(p,q), max(p,q)]
-	// contributes a symmetric-difference edge equal to exactly that window,
-	// so those range-adds collapse into one with an accumulated
-	// coefficient.
-	canonLo, canonHi, canonD int
-
-	// batch is the lazily allocated batched-evaluation scratch (see
+	// batch is the lazily allocated candidate log of ProposeBatch (see
 	// batch.go); clones start without one.
 	batch *batchEval
 }
 
-type spanChange struct{ net, lo, hi int }
+// netExt is a net's lowest, second-lowest, second-highest and highest pin
+// positions; a two-pin net has lo2 == hi and hi2 == lo. Moving one pin
+// changes the span to an O(1) function of them (without). Packed as int32
+// so the table costs what the two int spans it replaced did.
+type netExt struct{ lo, lo2, hi2, hi int32 }
+
+// without returns the lowest and highest positions of the net's pins other
+// than the one at position p, which must be one of its pins.
+func (e netExt) without(p int) (lo, hi int) {
+	lo, hi = int(e.lo), int(e.hi)
+	if p == lo {
+		lo = int(e.lo2)
+	}
+	if p == hi {
+		hi = int(e.hi2)
+	}
+	return lo, hi
+}
+
+// span returns the net's span, hi − lo.
+func (e netExt) span() int { return int(e.hi - e.lo) }
 
 // New builds an arrangement placing cell order[i] at position i. order must
 // be a permutation of 0..NumCells-1.
@@ -75,12 +92,10 @@ func New(nl *netlist.Netlist, order []int) (*Arrangement, error) {
 		return nil, fmt.Errorf("linarr: order has %d entries, netlist has %d cells", len(order), n)
 	}
 	a := &Arrangement{
-		nl:      nl,
-		cellAt:  slices.Clone(order),
-		posOf:   make([]int, n),
-		netLo:   make([]int, nl.NumNets()),
-		netHi:   make([]int, nl.NumNets()),
-		netMark: make([]int, nl.NumNets()),
+		nl:     nl,
+		cellAt: slices.Clone(order),
+		posOf:  make([]int, n),
+		ext:    make([]netExt, nl.NumNets()),
 	}
 	a.tree.init(max(n-1, 0))
 	seen := make([]bool, n)
@@ -120,129 +135,68 @@ func Identity(nl *netlist.Netlist) *Arrangement {
 	return MustNew(nl, order)
 }
 
-// recompute rebuilds spans, gap counts and density from the permutation —
-// O(total pins). Used at construction and as the test oracle's reference.
+// recompute rebuilds extremes, gap counts and density from the permutation
+// — O(total pins + gaps). Used at construction and as the test oracle's
+// reference.
 func (a *Arrangement) recompute() {
-	counts := make([]int, max(a.nl.NumCells()-1, 0))
+	counts := make([]int, a.tree.n+1)
 	a.spanSum = 0
-	for n := 0; n < a.nl.NumNets(); n++ {
-		lo, hi := a.span(n, -1, -1, -1, -1)
-		a.netLo[n], a.netHi[n] = lo, hi
-		a.spanSum += hi - lo
-		for g := lo; g < hi; g++ {
-			counts[g]++
-		}
+	for n := range a.ext {
+		e := a.scan(n)
+		a.ext[n] = e
+		a.spanSum += e.span()
+		counts[e.lo]++
+		counts[e.hi]--
 	}
-	a.spans = a.spans[:0]
-	a.tree.build(counts)
+	for g := 1; g < len(counts); g++ {
+		counts[g] += counts[g-1]
+	}
+	a.tree.build(counts[:a.tree.n])
 	a.dens = a.tree.proposedMax()
 }
 
-// span computes net n's position span, pretending that cellX sits at posX
-// and cellY at posY (pass −1s for no overrides). Two-pin nets — every net
-// in the GOLA regime — take a loop-free fast path.
-func (a *Arrangement) span(n, cellX, posX, cellY, posY int) (lo, hi int) {
+// scan computes net n's extremes from its pins' committed positions. Two-pin
+// nets — every net in the GOLA regime — take a loop-free fast path.
+func (a *Arrangement) scan(n int) netExt {
 	pins := a.nl.Net(n)
 	if len(pins) == 2 {
-		p0, p1 := a.posOf[pins[0]], a.posOf[pins[1]]
-		switch pins[0] {
-		case cellX:
-			p0 = posX
-		case cellY:
-			p0 = posY
+		p0, p1 := int32(a.posOf[pins[0]]), int32(a.posOf[pins[1]])
+		if p0 > p1 {
+			p0, p1 = p1, p0
 		}
-		switch pins[1] {
-		case cellX:
-			p1 = posX
-		case cellY:
-			p1 = posY
-		}
-		if p0 < p1 {
-			return p0, p1
-		}
-		return p1, p0
+		return netExt{lo: p0, lo2: p1, hi2: p0, hi: p1}
 	}
-	lo, hi = a.nl.NumCells(), -1
+	// Branch-free: the two smallest and two largest so far take p in with
+	// min and max alone.
+	lo, lo2 := int32(math.MaxInt32), int32(math.MaxInt32)
+	hi, hi2 := int32(-1), int32(-1)
 	for _, c := range pins {
-		p := a.posOf[c]
-		switch c {
-		case cellX:
-			p = posX
-		case cellY:
-			p = posY
-		}
+		p := int32(a.posOf[c])
+		lo2 = min(lo2, max(lo, p))
 		lo = min(lo, p)
+		hi2 = max(hi2, min(hi, p))
 		hi = max(hi, p)
 	}
-	return lo, hi
+	return netExt{lo: lo, lo2: lo2, hi2: hi2, hi: hi}
 }
 
-// settle discards an un-applied outstanding proposal, restoring the tree's
-// proposal overlay to empty. O(blocks touched); a no-op when no proposal is
+// rescanNets refreshes the extremes of every net incident to cell c after c
+// or its neighbours moved. A rescan is idempotent, so nets reached from
+// several moved cells need no dedup.
+func (a *Arrangement) rescanNets(c int) {
+	for _, n := range a.nl.CellNets(c) {
+		a.ext[n] = a.scan(n)
+	}
+}
+
+// settle discards an un-applied outstanding proposal; a no-op when none is
 // outstanding.
-func (a *Arrangement) settle() {
-	a.tree.rollback()
-	a.spans = a.spans[:0]
-}
+func (a *Arrangement) settle() { a.tree.rollback() }
 
-// propose records net n's span change [lo, hi) in the span log and applies
-// it to the gap tree's proposal overlay (discarded by settle, merged by
-// commit). When the old and new spans overlap — the common case — only
-// their symmetric difference is posted: the shared middle cancels exactly,
-// so the tree work tracks how far the endpoints moved, not the span
-// lengths.
-func (a *Arrangement) propose(n, lo, hi int) {
-	oldLo, oldHi := a.netLo[n], a.netHi[n]
-	if lo < oldHi && oldLo < hi {
-		if oldLo < lo {
-			a.addRange(oldLo, lo, -1)
-		} else {
-			a.addRange(lo, oldLo, 1)
-		}
-		if hi < oldHi {
-			a.addRange(hi, oldHi, -1)
-		} else {
-			a.addRange(oldHi, hi, 1)
-		}
-	} else {
-		a.addRange(oldLo, oldHi, -1)
-		a.addRange(lo, hi, 1)
-	}
-	a.spans = append(a.spans, spanChange{net: n, lo: lo, hi: hi})
-}
-
-// beginCanon starts an evaluation's canonical-range accumulator for the
-// window [lo, hi); flushCanon posts the accumulated coefficient (if any) to
-// the tree and must run before the tree's proposedMax is read.
-func (a *Arrangement) beginCanon(lo, hi int) {
-	a.canonLo, a.canonHi, a.canonD = lo, hi, 0
-}
-
-func (a *Arrangement) flushCanon() {
-	if a.canonD != 0 {
-		a.tree.rangeAdd(a.canonLo, a.canonHi, a.canonD)
-		a.canonD = 0
-	}
-}
-
-// addRange routes a proposal range-add either into the canonical-range
-// accumulator (when it is exactly the move's window) or straight to the
-// tree. Zero-length ranges are dropped by the tree.
-func (a *Arrangement) addRange(l, r, d int) {
-	if l == a.canonLo && r == a.canonHi {
-		a.canonD += d
-		return
-	}
-	a.tree.rangeAdd(l, r, d)
-}
-
-// commit promotes the outstanding proposal: the tree overlay is merged and
-// the span cache and objective values updated.
+// commit promotes the outstanding proposal: the tree applies it and the
+// objective values are updated. The caller has already moved the cells and
+// refreshed the moved nets' extremes.
 func (a *Arrangement) commit(delta, spanDelta int) {
-	for _, s := range a.spans {
-		a.netLo[s.net], a.netHi[s.net] = s.lo, s.hi
-	}
-	a.spans = a.spans[:0]
 	a.tree.commitProposal()
 	a.dens += delta
 	a.spanSum += spanDelta
@@ -274,8 +228,8 @@ func (a *Arrangement) PosOf(cell int) int { return a.posOf[cell] }
 func (a *Arrangement) Order() []int { return slices.Clone(a.cellAt) }
 
 // GapCut returns the committed crossing count of gap g in O(1), for
-// diagnostics and tests. Proposals live in the tree's overlay, so an
-// evaluated-but-unapplied move stays valid across the call.
+// diagnostics and tests. Proposals live in the tree's difference array, so
+// an evaluated-but-unapplied move stays valid across the call.
 func (a *Arrangement) GapCut(g int) int { return a.tree.committedAt(g) }
 
 // Clone returns a deep copy sharing only the immutable netlist. The copy is
@@ -287,10 +241,8 @@ func (a *Arrangement) Clone() *Arrangement {
 		cellAt:  slices.Clone(a.cellAt),
 		posOf:   slices.Clone(a.posOf),
 		tree:    a.tree.clone(),
-		netLo:   slices.Clone(a.netLo),
-		netHi:   slices.Clone(a.netHi),
+		ext:     slices.Clone(a.ext),
 		dens:    a.dens,
 		spanSum: a.spanSum,
-		netMark: make([]int, a.nl.NumNets()),
 	}
 }

@@ -3,56 +3,25 @@ package linarr
 import (
 	"fmt"
 	"math/rand/v2"
-	"slices"
 
 	"mcopt/internal/core"
 )
 
 var _ core.BatchEvaluator = (*Solution)(nil)
 
-// batchEval is the arrangement's batched-evaluation scratch: the candidate
-// log of the outstanding ProposeBatch plus the preview workspace that lets
-// a candidate's density be computed without touching the gap tree's
-// copy-on-write overlay. It is allocated lazily on first use and reused for
-// every later batch, so steady-state batched evaluation allocates nothing.
+// batchEval is the candidate log of the outstanding ProposeBatch: positions
+// and both objective deltas, index-aligned with the deltas slice handed to
+// ProposeBatch. It is allocated lazily on first use and reused for every
+// later batch, so steady-state batched evaluation allocates nothing.
 type batchEval struct {
-	// Candidate log: positions and both objective deltas, index-aligned
-	// with the deltas slice handed to ProposeBatch.
 	ps, qs []int
 	dens   []int
 	spans  []int
-	n      int
 	seq    uint64 // arrangement seq the batch was drawn against
-
-	// Per-batch index: block ids sorted by committed blockMax descending.
-	// Built once per ProposeBatch and shared by every candidate's preview —
-	// the amortization that makes batches cheaper per move than B serial
-	// evaluations.
-	order []int
-
-	// Per-candidate preview workspace, epoch-stamped so reset is O(1).
-	// Partial-block edits copy the block's committed leaves into leafVal on
-	// first touch (one memmove) and then edit in place — the serial
-	// overlay's copy-on-write trick, but into scratch that is never rolled
-	// back: the next candidate's epoch bump abandons it for free.
-	epoch   int
-	stamp   []int
-	add     []int  // full-block add accumulated this candidate
-	partial []bool // block's leaves copied into leafVal this candidate
-	blist   []int  // blocks touched this candidate
-	leafVal []int
 }
 
-// ensure sizes the scratch for the tree and a batch of n candidates.
-func (be *batchEval) ensure(t *gapTree, n int) {
-	if len(be.stamp) != t.blocks {
-		be.order = make([]int, t.blocks)
-		be.stamp = make([]int, t.blocks)
-		be.add = make([]int, t.blocks)
-		be.partial = make([]bool, t.blocks)
-		be.blist = make([]int, 0, t.blocks)
-		be.leafVal = make([]int, t.n)
-	}
+// ensure sizes the log for a batch of n candidates.
+func (be *batchEval) ensure(n int) {
 	if cap(be.ps) < n {
 		be.ps = make([]int, n)
 		be.qs = make([]int, n)
@@ -61,228 +30,47 @@ func (be *batchEval) ensure(t *gapTree, n int) {
 	}
 	be.ps, be.qs = be.ps[:n], be.qs[:n]
 	be.dens, be.spans = be.dens[:n], be.spans[:n]
-	be.n = n
-}
-
-// buildOrder sorts the committed block maxima descending. Candidates walk
-// this list to find the maximum over blocks they did not touch in O(touched)
-// instead of rescanning every block.
-func (be *batchEval) buildOrder(t *gapTree) {
-	for b := range be.order {
-		be.order[b] = b
-	}
-	slices.SortFunc(be.order, func(x, y int) int { return t.blockMax[y] - t.blockMax[x] })
-}
-
-// reset starts a new candidate's preview.
-func (be *batchEval) reset() {
-	be.epoch++
-	be.blist = be.blist[:0]
-}
-
-func (be *batchEval) touch(b int) {
-	if be.stamp[b] != be.epoch {
-		be.stamp[b] = be.epoch
-		be.add[b] = 0
-		be.partial[b] = false
-		be.blist = append(be.blist, b)
-	}
-}
-
-// addRange posts [l, r)+d into the candidate's preview: full blocks as an
-// add term, partial blocks as copy-on-touch leaf edits — the same split as
-// gapTree.rangeAdd, with scratch writes instead of overlay writes.
-func (be *batchEval) addRange(t *gapTree, l, r, d int) {
-	if l >= r {
-		return
-	}
-	lb, rb := l>>t.shift, (r-1)>>t.shift
-	if lb == rb {
-		be.addPiece(t, lb, l, r, d)
-		return
-	}
-	be.addPiece(t, lb, l, (lb+1)<<t.shift, d)
-	for b := lb + 1; b < rb; b++ {
-		be.touch(b)
-		be.add[b] += d
-	}
-	be.addPiece(t, rb, rb<<t.shift, r, d)
-}
-
-func (be *batchEval) addPiece(t *gapTree, b, l, r, d int) {
-	be.touch(b)
-	if !be.partial[b] {
-		be.partial[b] = true
-		lo, hi := t.blockBounds(b)
-		copy(be.leafVal[lo:hi], t.cut[lo:hi])
-	}
-	lv := be.leafVal[l:r]
-	for i := range lv {
-		lv[i] += d
-	}
-}
-
-// previewMax returns the maximum gap count with the candidate's ranges
-// applied, reading committed state only: touched blocks are re-derived
-// (leaf walk for partial blocks, blockMax+add for fully covered ones) and
-// the best untouched block comes from the sorted committed index.
-func (be *batchEval) previewMax(t *gapTree) int {
-	m := 0
-	for _, b := range be.blist {
-		if !be.partial[b] {
-			m = max(m, t.blockMax[b]+be.add[b])
-			continue
-		}
-		lo, hi := t.blockBounds(b)
-		bm := 0
-		for _, v := range be.leafVal[lo:hi] {
-			bm = max(bm, v)
-		}
-		m = max(m, bm+be.add[b])
-	}
-	for _, b := range be.order {
-		if be.stamp[b] != be.epoch {
-			m = max(m, t.blockMax[b])
-			break
-		}
-	}
-	return m
-}
-
-// previewSwap evaluates interchanging positions p and q against committed
-// state, without posting to the proposal overlay. It mirrors EvalSwapFor's
-// net walk exactly — same span computation, same symmetric-difference
-// ranges, same canonical-window coalescing — so its deltas equal the
-// serial evaluation's (the differential test in batch_test.go pins this).
-func (a *Arrangement) previewSwap(p, q int, be *batchEval) (densDelta, spanDelta int) {
-	if p == q {
-		return 0, 0
-	}
-	x, y := a.cellAt[p], a.cellAt[q]
-	a.markEpoch++
-	be.reset()
-	winLo, winHi := min(p, q), max(p, q)
-	canonD := 0
-	post := func(l, r, d int) {
-		if l == winLo && r == winHi {
-			canonD += d
-			return
-		}
-		be.addRange(&a.tree, l, r, d)
-	}
-	visit := func(n int) {
-		if a.netMark[n] == a.markEpoch {
-			return
-		}
-		a.netMark[n] = a.markEpoch
-		lo, hi := a.span(n, x, q, y, p)
-		oldLo, oldHi := a.netLo[n], a.netHi[n]
-		if lo == oldLo && hi == oldHi {
-			return
-		}
-		spanDelta += (hi - lo) - (oldHi - oldLo)
-		if lo < oldHi && oldLo < hi {
-			if oldLo < lo {
-				post(oldLo, lo, -1)
-			} else {
-				post(lo, oldLo, 1)
-			}
-			if hi < oldHi {
-				post(hi, oldHi, -1)
-			} else {
-				post(oldHi, hi, 1)
-			}
-		} else {
-			post(oldLo, oldHi, -1)
-			post(lo, hi, 1)
-		}
-	}
-	for _, n := range a.nl.CellNets(x) {
-		visit(n)
-	}
-	for _, n := range a.nl.CellNets(y) {
-		visit(n)
-	}
-	if canonD != 0 {
-		be.addRange(&a.tree, winLo, winHi, canonD)
-	}
-	return be.previewMax(&a.tree) - a.dens, spanDelta
 }
 
 // ProposeBatch draws len(deltas) candidate perturbations — the same
 // (p, q) recipe, in the same order, as len(deltas) Propose calls — and
-// evaluates each against the committed state. Pairwise interchanges take
-// the preview path (no overlay writes, no undo journal, shared committed-
-// maxima index); single-exchange candidates fall back to serial evaluation
-// per candidate. See core.BatchEvaluator.
+// evaluates each against the committed state through the serial evaluator,
+// settling after the last. See core.BatchEvaluator.
 func (s *Solution) ProposeBatch(r *rand.Rand, deltas []float64) {
 	a := s.arr
 	if a.batch == nil {
 		a.batch = &batchEval{}
 	}
 	be := a.batch
+	be.ensure(len(deltas))
+	for i := range deltas {
+		p, q := s.draw(r)
+		m := s.eval(p, q)
+		be.ps[i], be.qs[i] = p, q
+		be.dens[i], be.spans[i] = m.DensityDelta(), m.SpanDelta()
+		deltas[i] = m.Delta()
+	}
+	// The last candidate's move must not outlive its rolled-back proposal.
 	a.settle()
 	a.seq++
-	be.ensure(&a.tree, len(deltas))
-	n := a.NumCells()
-	swap := s.kind == PairwiseInterchange
-	if swap && n >= 2 {
-		be.buildOrder(&a.tree)
-	}
-	for i := range deltas {
-		if n < 2 {
-			// Degenerate single-cell instance: the identity plateau move,
-			// drawing nothing — as in Propose.
-			be.ps[i], be.qs[i] = 0, 0
-			be.dens[i], be.spans[i] = 0, 0
-			deltas[i] = 0
-			continue
-		}
-		p := r.IntN(n)
-		q := r.IntN(n - 1)
-		if q >= p {
-			q++
-		}
-		be.ps[i], be.qs[i] = p, q
-		var dd, sd int
-		if swap {
-			dd, sd = a.previewSwap(p, q, be)
-		} else {
-			m := a.EvalReinsertFor(p, q, s.obj)
-			dd, sd = m.DensityDelta(), m.SpanDelta()
-			a.settle()
-		}
-		be.dens[i], be.spans[i] = dd, sd
-		if s.obj == TotalSpan {
-			deltas[i] = float64(sd)
-		} else {
-			deltas[i] = float64(dd)
-		}
-	}
 	be.seq = a.seq
 }
 
 // ApplyBatch commits candidate i of the outstanding batch by re-evaluating
-// it through the serial path (one extra evaluation per accepted move) and
-// applying; the arrangement's seq then invalidates the batch.
+// it (one extra evaluation per accepted move) and applying; the
+// arrangement's seq then invalidates the batch.
 func (s *Solution) ApplyBatch(i int) {
 	a := s.arr
 	be := a.batch
 	if be == nil || be.seq != a.seq {
 		panic("linarr: ApplyBatch on a stale batch")
 	}
-	if i < 0 || i >= be.n {
-		panic(fmt.Sprintf("linarr: ApplyBatch(%d) outside batch of %d", i, be.n))
+	if i < 0 || i >= len(be.ps) {
+		panic(fmt.Sprintf("linarr: ApplyBatch(%d) outside batch of %d", i, len(be.ps)))
 	}
-	p, q := be.ps[i], be.qs[i]
-	var m Move
-	if s.kind == SingleExchange {
-		m = a.EvalReinsertFor(p, q, s.obj)
-	} else {
-		m = a.EvalSwapFor(p, q, s.obj)
-	}
+	m := s.eval(be.ps[i], be.qs[i])
 	if m.DensityDelta() != be.dens[i] || m.SpanDelta() != be.spans[i] {
-		panic(fmt.Sprintf("linarr: ApplyBatch(%d): preview deltas (%d,%d) != serial (%d,%d)",
+		panic(fmt.Sprintf("linarr: ApplyBatch(%d): batched deltas (%d,%d) != re-evaluated (%d,%d)",
 			i, be.dens[i], be.spans[i], m.DensityDelta(), m.SpanDelta()))
 	}
 	m.Apply()

@@ -2,6 +2,7 @@ package linarr
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"mcopt/internal/netlist"
@@ -9,7 +10,8 @@ import (
 
 // checkAgainstOracle rebuilds an arrangement from a's committed order and
 // compares every piece of incremental state — density, total span, per-gap
-// counts and per-net spans — against the from-scratch recompute.
+// counts and per-net extremes (span and second extremes) — against the
+// from-scratch recompute.
 func checkAgainstOracle(t *testing.T, a *Arrangement, label string) {
 	t.Helper()
 	oracle := MustNew(a.Netlist(), a.Order())
@@ -25,9 +27,9 @@ func checkAgainstOracle(t *testing.T, a *Arrangement, label string) {
 		}
 	}
 	for n := 0; n < a.Netlist().NumNets(); n++ {
-		if a.netLo[n] != oracle.netLo[n] || a.netHi[n] != oracle.netHi[n] {
-			t.Fatalf("%s: net %d span [%d,%d], oracle [%d,%d]",
-				label, n, a.netLo[n], a.netHi[n], oracle.netLo[n], oracle.netHi[n])
+		if a.ext[n] != oracle.ext[n] {
+			t.Fatalf("%s: net %d extremes (lo, lo2, hi2, hi) = %v, oracle %v",
+				label, n, a.ext[n], oracle.ext[n])
 		}
 	}
 	for c := 0; c < a.NumCells(); c++ {
@@ -117,6 +119,11 @@ func FuzzArrangementKernel(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 0xFF, 0, 1, 2, 3})
 	f.Add([]byte{15, 0, 1, 2, 3, 4, 5, 0xFF, 200, 100, 9, 8, 7, 6, 5, 4, 3})
 	f.Add([]byte{3})
+	// Multi-pin nets: the NOLA path.
+	f.Add([]byte{9, 0x40, 3, 5, 7, 0x21, 2, 8, 0xA0, 4, 6, 1, 3, 5, 0, 2, 0xFF,
+		1, 0x88, 7, 0x83, 2, 6, 0x85, 0x81, 4, 0x80, 8, 0x82, 3, 0x87})
+	f.Add([]byte{16, 0xE0, 1, 2, 3, 4, 5, 6, 7, 8, 0x61, 9, 10, 11, 12, 0xFF,
+		0x8F, 0x80, 3, 0x8C, 0x85, 0x82, 15, 0x80, 0x89, 0x8B, 1, 0x8E})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -124,25 +131,34 @@ func FuzzArrangementKernel(f *testing.F) {
 		n := int(data[0])%19 + 2 // 2..20 cells
 		data = data[1:]
 
-		// Bytes up to the 0xFF sentinel are net pins, two per net.
+		// Bytes up to the 0xFF sentinel are nets. A net's first byte sets
+		// its size, 2 + (byte >> 5) pins, and every one of its bytes names
+		// a pin modulo n. Repeated pins collapse; a net left with fewer
+		// than two distinct pins is dropped.
 		var nets [][]int
 		for len(data) >= 2 && data[0] != 0xFF {
-			u, v := int(data[0])%n, int(data[1])%n
-			if u != v {
-				nets = append(nets, []int{u, v})
+			k := min(2+int(data[0]>>5), len(data))
+			var pins []int
+			for _, b := range data[:k] {
+				if c := int(b) % n; !slices.Contains(pins, c) {
+					pins = append(pins, c)
+				}
 			}
-			data = data[2:]
+			if len(pins) >= 2 {
+				nets = append(nets, pins)
+			}
+			data = data[k:]
 		}
 		if len(data) > 0 && data[0] == 0xFF {
 			data = data[1:]
 		}
 		nl, err := netlist.New(n, nets)
 		if err != nil {
-			return // duplicate pins etc.: fine, as long as there is no panic
+			t.Fatal(err)
 		}
 
 		a := Identity(nl)
-		// Remaining bytes are the move program: each byte encodes move
+		// Remaining bytes are the move program: each byte pair encodes move
 		// class, positions, and whether to apply.
 		for i := 0; i+1 < len(data); i += 2 {
 			p, q := int(data[i])%n, int(data[i+1])%n

@@ -70,8 +70,9 @@ type reinsertMove struct {
 }
 
 // EvalSwap evaluates interchanging the cells at positions p and q. The
-// evaluation runs in O(nets incident to the two cells · log n) and does not
-// commit until Apply.
+// evaluation costs O(1) per net incident to exactly one of the two cells
+// plus one pass over the gaps between p and q, and does not commit until
+// Apply.
 func (a *Arrangement) EvalSwap(p, q int) Move { return a.EvalSwapFor(p, q, Density) }
 
 // EvalSwapFor is EvalSwap with an explicit reporting objective.
@@ -85,29 +86,46 @@ func (a *Arrangement) EvalSwapFor(p, q int, obj Objective) Move {
 	if p == q {
 		return m
 	}
+	// One pin of each net incident to exactly one of the cells moves; a net
+	// holding both keeps its pin positions. Marks find those shared nets:
+	// y's nets are tagged, and x's loop retags the shared ones for y's loop
+	// to skip. (A merge of the two ascending net lists finds them too, but
+	// its branch on which list is next mispredicts on random moves.)
 	x, y := a.cellAt[p], a.cellAt[q]
-	spanDelta := 0
-	a.markEpoch++
-	a.beginCanon(min(p, q), max(p, q))
-	visit := func(n int) {
-		if a.netMark[n] == a.markEpoch {
-			return
-		}
-		a.netMark[n] = a.markEpoch
-		lo, hi := a.span(n, x, q, y, p)
-		if lo == a.netLo[n] && hi == a.netHi[n] {
-			return
-		}
-		spanDelta += (hi - lo) - (a.netHi[n] - a.netLo[n])
-		a.propose(n, lo, hi)
+	if a.netMark == nil {
+		a.netMark = make([]int, a.nl.NumNets())
 	}
+	a.markEpoch += 2
+	mark, tag := a.netMark, a.markEpoch
+	ext, diff, shift := a.ext, a.tree.diff, a.tree.shift
+	for _, n := range a.nl.CellNets(y) {
+		mark[n] = tag
+	}
+	spanDelta := 0
+	var posted uint64
 	for _, n := range a.nl.CellNets(x) {
-		visit(n)
+		if mark[n] == tag {
+			mark[n] = tag + 1
+			continue
+		}
+		// The net's other pins stay put.
+		e := ext[n]
+		lo, hi := e.without(p)
+		lo, hi = min(lo, q), max(hi, q)
+		posted |= moveSpan(diff, shift, int(e.lo), int(e.hi), lo, hi)
+		spanDelta += hi - lo - e.span()
 	}
 	for _, n := range a.nl.CellNets(y) {
-		visit(n)
+		if mark[n] == tag+1 {
+			continue
+		}
+		e := ext[n]
+		lo, hi := e.without(q)
+		lo, hi = min(lo, p), max(hi, p)
+		posted |= moveSpan(diff, shift, int(e.lo), int(e.hi), lo, hi)
+		spanDelta += hi - lo - e.span()
 	}
-	a.flushCanon()
+	a.tree.window(min(p, q), max(p, q), posted)
 	m.delta = a.tree.proposedMax() - a.dens
 	m.spanDelta = spanDelta
 	return m
@@ -133,14 +151,16 @@ func (m *swapMove) Apply() {
 	x, y := a.cellAt[m.p], a.cellAt[m.q]
 	a.cellAt[m.p], a.cellAt[m.q] = y, x
 	a.posOf[x], a.posOf[y] = m.q, m.p
+	a.rescanNets(x)
+	a.rescanNets(y)
 	a.commit(m.delta, m.spanDelta)
 }
 
 // EvalReinsert evaluates removing the cell at position p and reinserting it
 // at position q (cells in between shift toward p). Only nets with a pin in
-// the shifted window [min(p,q), max(p,q)] can change span, so the
-// evaluation runs in O(pins of nets incident to the window · log n) rather
-// than rescanning every net.
+// the shifted window [min(p,q), max(p,q)] can change span, and each one's
+// new span is O(1) from its extremes, so the evaluation costs O(nets
+// incident to the window) plus one pass over the window's gaps.
 func (a *Arrangement) EvalReinsert(p, q int) Move { return a.EvalReinsertFor(p, q, Density) }
 
 // EvalReinsertFor is EvalReinsert with an explicit reporting objective.
@@ -154,47 +174,54 @@ func (a *Arrangement) EvalReinsertFor(p, q int, obj Objective) Move {
 	if p == q {
 		return m
 	}
-	// newPos maps an old position to its post-move position. Positions
-	// outside the window are fixed, so a net with no pin in the window
-	// keeps its span.
-	newPos := func(pos int) int {
-		switch {
-		case pos == p:
-			return q
-		case p < q && pos > p && pos <= q:
-			return pos - 1
-		case p > q && pos >= q && pos < p:
-			return pos + 1
-		default:
-			return pos
-		}
+	if a.netMark == nil {
+		a.netMark = make([]int, a.nl.NumNets())
 	}
+	a.markEpoch += 2
+	mark, tag := a.netMark, a.markEpoch
+	ext, diff, shift := a.ext, a.tree.diff, a.tree.shift
+	// The moved cell's nets lose the pin at p and gain one at q; every other
+	// pin maps through the shift, which preserves the order of positions
+	// other than p, so the remaining extremes map to the new ones.
 	spanDelta := 0
-	a.markEpoch++
-	a.beginCanon(min(p, q), max(p, q))
+	var posted uint64
+	for _, n := range a.nl.CellNets(a.cellAt[p]) {
+		mark[n] = tag
+		e := ext[n]
+		lo, hi := e.without(p)
+		lo, hi = min(shifted(lo, p, q), q), max(shifted(hi, p, q), q)
+		posted |= moveSpan(diff, shift, int(e.lo), int(e.hi), lo, hi)
+		spanDelta += hi - lo - e.span()
+	}
 	for pos := min(p, q); pos <= max(p, q); pos++ {
 		for _, n := range a.nl.CellNets(a.cellAt[pos]) {
-			if a.netMark[n] == a.markEpoch {
+			if mark[n] == tag {
 				continue
 			}
-			a.netMark[n] = a.markEpoch
-			lo, hi := a.nl.NumCells(), -1
-			for _, c := range a.nl.Net(n) {
-				pp := newPos(a.posOf[c])
-				lo = min(lo, pp)
-				hi = max(hi, pp)
-			}
-			if lo == a.netLo[n] && hi == a.netHi[n] {
-				continue
-			}
-			spanDelta += (hi - lo) - (a.netHi[n] - a.netLo[n])
-			a.propose(n, lo, hi)
+			mark[n] = tag
+			e := ext[n]
+			lo, hi := shifted(int(e.lo), p, q), shifted(int(e.hi), p, q)
+			posted |= moveSpan(diff, shift, int(e.lo), int(e.hi), lo, hi)
+			spanDelta += hi - lo - e.span()
 		}
 	}
-	a.flushCanon()
+	a.tree.window(min(p, q), max(p, q), posted)
 	m.delta = a.tree.proposedMax() - a.dens
 	m.spanDelta = spanDelta
 	return m
+}
+
+// shifted maps a position other than p to where it lands when the cell at
+// p is reinserted at q.
+func shifted(pos, p, q int) int {
+	switch {
+	case p < q && pos > p && pos <= q:
+		return pos - 1
+	case p > q && pos >= q && pos < p:
+		return pos + 1
+	default:
+		return pos
+	}
 }
 
 func (m *reinsertMove) Delta() float64    { return float64(m.DeltaInt()) }
@@ -225,6 +252,9 @@ func (m *reinsertMove) Apply() {
 		lo, hi := min(m.p, m.q), max(m.p, m.q)
 		for pos := lo; pos <= hi; pos++ {
 			a.posOf[a.cellAt[pos]] = pos
+		}
+		for pos := lo; pos <= hi; pos++ {
+			a.rescanNets(a.cellAt[pos])
 		}
 	}
 	a.commit(m.delta, m.spanDelta)

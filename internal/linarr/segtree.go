@@ -2,48 +2,44 @@ package linarr
 
 import "slices"
 
-// gapTree is a two-level lazy segment tree (a block tree) over the
-// arrangement's gaps, and is the evaluation kernel's core data structure.
-// Leaves are the per-gap crossing counts; internal nodes are fixed-size
-// blocks of ~√n leaves carrying a range maximum and a lazy range-add tag.
-// A net whose span changes contributes range-adds over the symmetric
-// difference of its old and new spans (see Arrangement.propose); the
-// proposed density is the maximum over the block summaries. Proposal cost
-// is therefore O(nets-touched · √n + n/√n) — independent of the total span
-// length the previous kernel paid for (it snapshotted all n gaps and
-// re-scanned them per proposal).
+// gapTree holds the arrangement's per-gap crossing counts, committed, plus
+// the outstanding proposal as a difference array over the gaps. It is the
+// evaluation kernel's core data structure.
 //
-// Two levels instead of a log-depth binary tree is a measured choice: per
-// range-add, a binary tree spends ~3 pointer walks to the root updating
-// max/lazy nodes, which at the instance sizes this repo targets (n ≤ a few
-// thousand) costs more than the block tree's contiguous array writes. The
-// binary variant benchmarked ~5× slower at n = 15 and ~1.6× slower at
-// n = 400 than this layout.
+// Committed state is the exact count of every gap and the maximum of each
+// block of gaps — a power of two ≥ √n gaps (min 16), at most 64 blocks. A
+// proposal's range-add [l, r)+d is two increments, diff[l] += d and
+// diff[r] −= d, and widens the proposal's hull — the smallest gap range
+// covering every posted range; a move instead opens its window as the hull
+// and posts each net's span change as four increments (moveSpan). The
+// proposed density is one prefix pass over the blocks the hull touches,
+// adding the running sum of diff to each committed count, plus the
+// committed maxima of the blocks outside it. A 64-bit mask marks the
+// blocks holding a diff entry; the pass takes any other block's committed
+// maximum plus the running sum without walking its gaps. A pairwise
+// interchange or reinsertion of positions p and q changes only gaps inside
+// [min(p,q), max(p,q)), so it costs O(1) per net plus one pass over that
+// window.
 //
-// Proposals never mutate committed state. Range-adds write into an overlay:
-// full blocks accumulate a lazy add tag (add[b]), partially covered blocks
-// are copied on first touch into a scratch leaf array (propCut) and edited
-// there. The journal of touched blocks is the undo log — rolling back a
-// rejected proposal just clears the touched blocks' tags and flags in
-// O(blocks touched), with no inverse-add replay; committing merges the
-// overlay into the committed arrays.
+// Proposals never mutate committed state: rolling one back clears diff over
+// the hull; committing applies the pass to the committed counts and
+// rescans the maxima of the blocks it covered.
 type gapTree struct {
-	n      int  // number of gaps (leaves)
-	bsize  int  // block size, a power of two ≥ √n (min 16)
-	shift  uint // log2(bsize)
+	n      int  // number of gaps
+	shift  uint // log2 of the block size
 	blocks int
 
-	// Committed state: exact leaf values and per-block maxima (no pending
-	// tags — committed reads are O(1)).
+	// Committed state.
 	cut      []int
 	blockMax []int
 
-	// Proposal overlay.
-	propCut []int  // copy-on-write leaf scratch, valid where copied[b]
-	propAdd []int  // lazy whole-block add tags
-	copied  []bool // block b's leaves live in propCut
-	touched []bool // block b appears in journal
-	journal []int  // undo log: blocks touched by the outstanding proposal
+	// Outstanding proposal: diff has n+1 entries, nonzero only inside
+	// [hullLo, hullHi]; the hull is empty when hullLo ≥ hullHi. Bit b of
+	// posted is clear when block b holds no diff entry, so the pass can
+	// take the block's committed maximum instead of walking its gaps.
+	diff           []int
+	hullLo, hullHi int
+	posted         uint64
 }
 
 // init sizes the tree for n gaps (n may be 0 for a single-cell
@@ -51,146 +47,145 @@ type gapTree struct {
 // allocated here once; evaluation never allocates.
 func (t *gapTree) init(n int) {
 	t.n = n
-	t.shift = 4 // bsize ≥ 16 keeps per-block bookkeeping negligible
-	for 1<<(2*t.shift) < n {
+	t.shift = 4
+	for 1<<(2*t.shift) < n || n>>t.shift >= 64 {
 		t.shift++
 	}
-	t.bsize = 1 << t.shift
-	t.blocks = (n + t.bsize - 1) / t.bsize
+	t.blocks = (n + 1<<t.shift - 1) >> t.shift
 	t.cut = make([]int, n)
-	t.propCut = make([]int, n)
 	t.blockMax = make([]int, t.blocks)
-	t.propAdd = make([]int, t.blocks)
-	t.copied = make([]bool, t.blocks)
-	t.touched = make([]bool, t.blocks)
-	t.journal = make([]int, 0, t.blocks)
+	t.diff = make([]int, n+1)
+	t.hullLo, t.hullHi = n, 0
 }
 
-// build resets committed state to the given leaf values (len(values) == n)
-// and discards any proposal overlay.
+// build resets committed state to the given counts (len(values) == n) and
+// discards any outstanding proposal.
 func (t *gapTree) build(values []int) {
 	copy(t.cut, values)
-	for b := 0; b < t.blocks; b++ {
-		lo, hi := t.blockBounds(b)
-		t.blockMax[b] = maxOf(t.cut[lo:hi])
-	}
-	clear(t.propAdd)
-	clear(t.copied)
-	clear(t.touched)
-	t.journal = t.journal[:0]
+	t.rescan(0, t.blocks)
+	t.rollback()
 }
 
-func (t *gapTree) blockBounds(b int) (lo, hi int) {
-	lo = b << t.shift
-	return lo, min(lo+t.bsize, t.n)
-}
-
-func (t *gapTree) touch(b int) {
-	if !t.touched[b] {
-		t.touched[b] = true
-		t.journal = append(t.journal, b)
-	}
-}
-
-// write applies d to leaves [l, r) of block b through the copy-on-write
-// overlay.
-func (t *gapTree) write(b, l, r, d int) {
-	t.touch(b)
-	if !t.copied[b] {
-		t.copied[b] = true
-		lo, hi := t.blockBounds(b)
-		copy(t.propCut[lo:hi], t.cut[lo:hi])
-	}
-	pc := t.propCut[l:r]
-	for i := range pc {
-		pc[i] += d
+// rescan recomputes the committed maxima of blocks [b0, b1).
+func (t *gapTree) rescan(b0, b1 int) {
+	for b := b0; b < b1; b++ {
+		lo := b << t.shift
+		t.blockMax[b] = maxOf(t.cut[lo:min(lo+1<<t.shift, t.n)])
 	}
 }
 
 // rangeAdd adds d to every gap in the half-open range [l, r) as part of
-// the outstanding proposal: partial blocks via copy-on-write leaf writes,
-// fully covered blocks via their lazy add tag.
+// the outstanding proposal, widening its hull. Empty ranges are dropped.
 func (t *gapTree) rangeAdd(l, r, d int) {
 	if l >= r {
 		return
 	}
-	lb, rb := l>>t.shift, (r-1)>>t.shift
-	if lb == rb {
-		t.write(lb, l, r, d)
-		return
-	}
-	t.write(lb, l, (lb+1)<<t.shift, d)
-	for b := lb + 1; b < rb; b++ {
-		t.touch(b)
-		t.propAdd[b] += d
-	}
-	t.write(rb, rb<<t.shift, r, d)
+	t.diff[l] += d
+	t.diff[r] -= d
+	t.posted |= blockBit(l, t.shift) | blockBit(r, t.shift)
+	t.hullLo = min(t.hullLo, l)
+	t.hullHi = max(t.hullHi, r)
+}
+
+// window widens the proposal's hull to the gaps [l, r) and marks the
+// blocks in posted as holding diff entries. A move posts with moveSpan,
+// which tracks neither, and then opens its window.
+func (t *gapTree) window(l, r int, posted uint64) {
+	t.hullLo = min(t.hullLo, l)
+	t.hullHi = max(t.hullHi, r)
+	t.posted |= posted
+}
+
+// moveSpan proposes, in a tree's diff array with the given block shift,
+// that a net spanning [oldLo, oldHi) now span [lo, hi): the gaps between
+// each old and new endpoint gain or lose one crossing. That is four
+// increments, with no branch on which way an endpoint moved; an unchanged
+// endpoint's pair cancels. It returns the mask bits of the blocks written,
+// which the caller accumulates for window. Every changed endpoint must lie
+// inside the window. It takes the tree's arrays rather than the tree so a
+// move's loop keeps them in registers.
+func moveSpan(diff []int, shift uint, oldLo, oldHi, lo, hi int) uint64 {
+	diff[lo]++
+	diff[oldLo]--
+	diff[oldHi]++
+	diff[hi]--
+	return blockBit(lo, shift) | blockBit(oldLo, shift) | blockBit(oldHi, shift) | blockBit(hi, shift)
+}
+
+// blockBit returns gap g's block bit in the posted mask. The entry at
+// g == n may map to a bit the pass never reads, or to block 0's; a spare
+// bit only costs a walk over that block.
+func blockBit(g int, shift uint) uint64 { return 1 << (uint(g>>shift) & 63) }
+
+// span returns the blocks [b0, b1) the hull touches; the committed counts
+// outside them are unchanged by the proposal.
+func (t *gapTree) span() (b0, b1 int) {
+	return t.hullLo >> t.shift, (t.hullHi-1)>>t.shift + 1
 }
 
 // proposedMax returns the maximum gap count with the outstanding proposal
-// applied (the committed maximum when no proposal is outstanding), in
-// O(blocks) plus a leaf re-scan of each copied block.
+// applied (the committed maximum when none is outstanding).
 func (t *gapTree) proposedMax() int {
-	m := 0
-	for b := 0; b < t.blocks; b++ {
-		bm := t.blockMax[b]
-		if t.copied[b] {
-			lo, hi := t.blockBounds(b)
-			bm = maxOf(t.propCut[lo:hi])
+	if t.hullLo >= t.hullHi {
+		return maxOf(t.blockMax)
+	}
+	b0, b1 := t.span()
+	m := max(maxOf(t.blockMax[:b0]), maxOf(t.blockMax[b1:]))
+	s := 0
+	for b := b0; b < b1; b++ {
+		if t.posted>>b&1 == 0 {
+			// No diff entry in the block: every count shifts by s.
+			m = max(m, t.blockMax[b]+s)
+			continue
 		}
-		m = max(m, bm+t.propAdd[b])
+		lo := b << t.shift
+		cut, diff := t.cut[lo:min(lo+1<<t.shift, t.n)], t.diff[lo:]
+		for g, c := range cut {
+			s += diff[g]
+			m = max(m, c+s)
+		}
 	}
 	return m
 }
 
-// rollback discards the outstanding proposal in O(blocks touched): committed
-// state was never mutated, so undo is tag/flag clearing, not inverse adds.
+// rollback discards the outstanding proposal in O(hull).
 func (t *gapTree) rollback() {
-	for _, b := range t.journal {
-		t.propAdd[b] = 0
-		t.copied[b] = false
-		t.touched[b] = false
+	if t.hullLo < t.hullHi {
+		clear(t.diff[t.hullLo : t.hullHi+1])
 	}
-	t.journal = t.journal[:0]
+	t.hullLo, t.hullHi = t.n, 0
+	t.posted = 0
 }
 
-// commitProposal merges the outstanding proposal into committed state,
-// re-deriving each touched block's maximum.
+// commitProposal applies the outstanding proposal to the committed counts
+// and rescans the maxima of the blocks its hull touches.
 func (t *gapTree) commitProposal() {
-	for _, b := range t.journal {
-		lo, hi := t.blockBounds(b)
-		if t.copied[b] {
-			copy(t.cut[lo:hi], t.propCut[lo:hi])
-		}
-		if d := t.propAdd[b]; d != 0 {
-			for g := lo; g < hi; g++ {
-				t.cut[g] += d
-			}
-		}
-		t.blockMax[b] = maxOf(t.cut[lo:hi])
-		t.propAdd[b] = 0
-		t.copied[b] = false
-		t.touched[b] = false
+	if t.hullLo >= t.hullHi {
+		return
 	}
-	t.journal = t.journal[:0]
+	s := 0
+	for g := t.hullLo; g < t.hullHi; g++ {
+		s += t.diff[g]
+		t.cut[g] += s
+	}
+	b0, b1 := t.span()
+	t.rescan(b0, b1)
+	t.rollback()
 }
 
-// committedAt returns the committed value of gap g in O(1), ignoring any
+// committedAt returns the committed count of gap g, ignoring any
 // outstanding proposal.
 func (t *gapTree) committedAt(g int) int { return t.cut[g] }
 
-// clone returns an independent copy of the committed state with an empty
-// overlay.
+// clone returns an independent copy of the committed state with no
+// outstanding proposal.
 func (t *gapTree) clone() gapTree {
 	return gapTree{
-		n: t.n, bsize: t.bsize, shift: t.shift, blocks: t.blocks,
+		n: t.n, shift: t.shift, blocks: t.blocks,
 		cut:      slices.Clone(t.cut),
 		blockMax: slices.Clone(t.blockMax),
-		propCut:  make([]int, t.n),
-		propAdd:  make([]int, t.blocks),
-		copied:   make([]bool, t.blocks),
-		touched:  make([]bool, t.blocks),
-		journal:  make([]int, 0, t.blocks),
+		diff:     make([]int, t.n+1),
+		hullLo:   t.n,
 	}
 }
 

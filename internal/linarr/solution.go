@@ -86,17 +86,27 @@ func (s *Solution) Density() int { return s.arr.Density() }
 // the next Propose / Descend / EvalNeighbor call on this solution, which is
 // exactly the at-most-one-outstanding-move discipline the engines follow.
 func (s *Solution) Propose(r *rand.Rand) core.Move {
+	return s.eval(s.draw(r))
+}
+
+// draw picks the positions of a uniform random perturbation: an ordered
+// pair of distinct positions. A single-cell instance draws nothing and
+// returns (0, 0), the identity move the engines treat as a plateau.
+func (s *Solution) draw(r *rand.Rand) (p, q int) {
 	n := s.arr.NumCells()
 	if n < 2 {
-		// Degenerate single-cell instance: the only "perturbation" is the
-		// identity, which the engines will treat as a plateau move.
-		return s.arr.EvalSwapFor(0, 0, s.obj)
+		return 0, 0
 	}
-	p := r.IntN(n)
-	q := r.IntN(n - 1)
+	p = r.IntN(n)
+	q = r.IntN(n - 1)
 	if q >= p {
 		q++
 	}
+	return p, q
+}
+
+// eval evaluates the configured perturbation at positions (p, q).
+func (s *Solution) eval(p, q int) Move {
 	if s.kind == SingleExchange {
 		return s.arr.EvalReinsertFor(p, q, s.obj)
 	}

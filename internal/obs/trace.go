@@ -60,6 +60,9 @@ func (t *Trace) Start(parent int, name string, attrs map[string]string) int {
 	defer t.mu.Unlock()
 	t.next++
 	id := t.next
+	if t.open == nil {
+		t.open = map[int]int{}
+	}
 	t.open[id] = len(t.spans)
 	t.spans = append(t.spans, Span{
 		Trace: t.id, ID: id, Parent: parent, Name: name,
@@ -92,6 +95,15 @@ func (t *Trace) EndOpen() {
 		t.spans[i].DurNS = since - t.spans[i].StartNS
 		delete(t.open, id)
 	}
+}
+
+// Drop releases every recorded span, for a caller that has committed the
+// timeline elsewhere. The trace stays usable: span IDs keep counting, and
+// later snapshots hold only spans started after the drop.
+func (t *Trace) Drop() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.spans, t.open = nil, nil
 }
 
 // Annotate merges attrs into an open or closed span.

@@ -440,19 +440,32 @@ func midJobSpec() string {
 // runner once the manager has committed a replica in-process: the runner
 // must lease the slots not yet started, and the artifact must still match
 // a single-node run byte for byte. Two in-process workers put concurrent
-// local commits beside the runner's.
+// local commits beside the runner's. The manager's local-slot gate holds
+// every slot after the first two until the runner has registered, so the
+// hand-over does not depend on how fast a replica computes.
 func TestFleetTakesOverMidJob(t *testing.T) {
 	golden := localGolden(t, midJobSpec())
 
 	cfg := fleetConfig()
 	cfg.RunWorkers = 2
-	_, ts := testServer(t, cfg)
+	m, ts := testServer(t, cfg)
+	registered := make(chan struct{})
+	m.localSlotGate = func(ctx context.Context, slot int) {
+		if slot >= cfg.RunWorkers {
+			select {
+			case <-registered:
+			case <-ctx.Done():
+			}
+		}
+	}
 	id, code := submit(t, ts, midJobSpec(), "")
 	if code != 201 {
 		t.Fatalf("submit: %d", code)
 	}
 	waitProgress(t, ts, id, 1)
 	startRunner(t, ts, "late", nil)
+	waitLive(t, m, 1)
+	close(registered)
 
 	waitState(t, ts, id, StateDone)
 	if got := getResult(t, ts, id); !bytes.Equal(got, golden) {

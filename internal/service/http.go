@@ -203,27 +203,12 @@ func (s *server) events(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
-	ch, cancel := j.Subscribe()
-	defer cancel()
-	ctx := r.Context()
-	for {
-		select {
-		case rec, open := <-ch:
-			if !open {
-				return
-			}
-			if err := enc.Encode(rec); err != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		case <-ctx.Done():
-			return
+	// The connection is the only place left to report a write failure.
+	_ = j.streamTo(r.Context(), w, func() {
+		if flusher != nil {
+			flusher.Flush()
 		}
-	}
+	})
 }
 
 // writeFleetError answers a fleet request with runnerclient's error body:

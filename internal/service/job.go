@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
+	"compress/flate"
 	"context"
-	"slices"
+	"io"
 	"strconv"
 	"sync"
 	"time"
@@ -72,10 +74,6 @@ type Status struct {
 	Error string `json:"error,omitempty"`
 }
 
-// streamBuffer bounds the per-job replay buffer: a late subscriber sees at
-// most this many trailing records before the live tail.
-const streamBuffer = 1024
-
 // Job is one queued/running/finished optimization job. All fields behind mu;
 // the runner goroutine, HTTP handlers, and the manager all touch it.
 type Job struct {
@@ -113,21 +111,19 @@ type Job struct {
 	terminalAt time.Time
 	runMillis  int64
 
-	// recent is the bounded replay ring; subs are live subscribers.
-	recent []StreamRecord
+	// stream is the replay window, each record encoded once, at publish,
+	// into the NDJSON line subscribers receive. At the terminal transition
+	// zip compresses the window into replay, and the window is released.
+	// subs are live subscribers.
+	stream lineLog
+	zip    *replayCompressor
+	replay []byte
 	subs   map[*subscriber]struct{}
-	// records is the unused tail of the slab publishEvent carves event
-	// records from.
-	records []metrics.Record
 	// done is closed when the job reaches a terminal state.
 	done chan struct{}
 }
 
-type subscriber struct {
-	ch chan StreamRecord
-}
-
-func newJob(id, key string, seq int64, spec JobSpec) *Job {
+func newJob(id, key string, seq int64, spec JobSpec, zip *replayCompressor) *Job {
 	return &Job{
 		ID:         id,
 		Key:        key,
@@ -135,6 +131,7 @@ func newJob(id, key string, seq int64, spec JobSpec) *Job {
 		Spec:       spec,
 		enqueuedAt: time.Now(),
 		state:      StateQueued,
+		zip:        zip,
 		subs:       map[*subscriber]struct{}{},
 		done:       make(chan struct{}),
 	}
@@ -187,22 +184,23 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 
 // setState moves the job to state and publishes the transition. Idempotent
 // on terminal states so a drain racing a natural completion cannot
-// double-close done.
+// double-close done. The terminal transition compresses the replay window
+// and releases it: a finished job keeps only what it still serves.
 func (j *Job) setState(state State, errMsg string) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		j.mu.Unlock()
 		return
 	}
 	j.state = state
 	j.errMsg = errMsg
-	rec := j.stateRecordLocked()
+	j.publishLocked(j.stateRecordLocked())
 	if state.Terminal() {
 		j.terminalAt = time.Now()
 		close(j.done)
+		j.replay = j.zip.compress(j.stream.bytes())
+		j.stream = lineLog{}
 	}
-	j.publishLocked(rec)
-	j.mu.Unlock()
 }
 
 // setRunning moves a queued job to running with the given run-cancel
@@ -264,81 +262,85 @@ func (j *Job) setProgress(done int) {
 // publishEvent bridges one engine telemetry record into the stream.
 func (j *Job) publishEvent(rec metrics.Record) {
 	j.mu.Lock()
-	if len(j.records) == 0 {
-		j.records = make([]metrics.Record, recordSlab)
-	}
-	r := &j.records[0]
-	j.records = j.records[1:]
-	*r = rec
-	j.publishLocked(StreamRecord{Type: "event", Job: j.ID, Event: r})
+	j.publishLocked(StreamRecord{Type: "event", Job: j.ID, Event: &rec})
 	j.mu.Unlock()
 }
 
-// recordSlab is how many event records publishEvent carves from one
-// allocation, so a replica streaming a descent record per jump does not
-// allocate per record. A published record is never written again, so
-// records may share a backing array.
-const recordSlab = 64
-
-// publishLocked appends to the replay ring and fans out to live
-// subscribers. A subscriber whose buffer is full loses the record — the
-// stream is telemetry, and a stalled client must not stall the engine.
+// publishLocked encodes rec into the replay window — the one encoding every
+// subscriber shares — and hands the line to the live subscribers. A record
+// JSON cannot carry (a NaN or infinite cost) is dropped.
 func (j *Job) publishLocked(rec StreamRecord) {
-	if len(j.recent) == streamBuffer {
-		j.recent = slices.Delete(j.recent, 0, 1)
+	line, ok := j.stream.add(&rec)
+	if !ok {
+		return
 	}
-	j.recent = append(j.recent, rec)
 	for s := range j.subs {
-		select {
-		case s.ch <- rec:
-		default:
-		}
+		s.add(line)
 	}
 }
 
-// Subscribe returns a channel replaying the job's buffered records followed
-// by the live tail, plus a cancel function. The channel is closed after the
-// terminal state record has been delivered.
-func (j *Job) Subscribe() (<-chan StreamRecord, func()) {
+// streamTo writes the job's NDJSON stream to w: the replay window, then the
+// live tail until the job ends (or the server stops) or ctx is done,
+// calling flush after each write. A finished job's stream is its
+// compressed replay, decompressed.
+func (j *Job) streamTo(ctx context.Context, w io.Writer, flush func()) error {
 	j.mu.Lock()
-	s := &subscriber{ch: make(chan StreamRecord, streamBuffer+16)}
-	// Replay first, under the same lock that orders publishes, so the
-	// subscriber sees every record exactly once and in order.
-	for _, rec := range j.recent {
-		s.ch <- rec
-	}
-	terminal := j.state.Terminal()
-	if terminal {
-		close(s.ch)
-	} else {
-		j.subs[s] = struct{}{}
-	}
-	j.mu.Unlock()
-
-	unsubscribed := false
-	cancel := func() {
-		j.mu.Lock()
-		if !unsubscribed {
-			unsubscribed = true
-			if _, ok := j.subs[s]; ok {
-				delete(j.subs, s)
-				close(s.ch)
-			}
-		}
+	if j.state.Terminal() {
+		replay := j.replay
 		j.mu.Unlock()
+		_, err := io.Copy(w, flate.NewReader(bytes.NewReader(replay)))
+		flush()
+		return err
 	}
-	if terminal {
-		return s.ch, func() {}
+	// Replay under the same lock that orders publishes, so the subscriber
+	// sees every record exactly once and in order.
+	replay := j.stream.bytes()
+	s := &subscriber{
+		pending: append(make([]byte, 0, len(replay)+liveHeadroom), replay...),
+		lines:   j.stream.lines(),
+		wake:    make(chan struct{}, 1),
 	}
-	return s.ch, cancel
+	s.signal()
+	j.subs[s] = struct{}{}
+	j.mu.Unlock()
+	defer func() {
+		j.mu.Lock()
+		delete(j.subs, s)
+		j.mu.Unlock()
+	}()
+
+	var out []byte
+	for {
+		select {
+		case <-s.wake:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		j.mu.Lock()
+		out, s.pending = s.pending, out[:0]
+		s.lines = 0
+		closed := s.closed
+		j.mu.Unlock()
+		if len(out) > 0 {
+			if _, err := w.Write(out); err != nil {
+				return err
+			}
+			flush()
+		}
+		if closed {
+			return nil
+		}
+	}
 }
 
-// closeSubscribers ends every live stream; called once the job is terminal.
+// closeSubscribers ends every live stream once its pending lines are
+// written; called once the job is terminal, and on server stop.
 func (j *Job) closeSubscribers() {
 	j.mu.Lock()
 	for s := range j.subs {
 		delete(j.subs, s)
-		close(s.ch)
+		s.closed = true
+		s.signal()
 	}
 	j.mu.Unlock()
 }

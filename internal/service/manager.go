@@ -124,10 +124,15 @@ type Manager struct {
 	obs      *serverMetrics   // registry-backed service metrics
 	coord    *coordinator     // distributed-execution state (always non-nil)
 	arch     *archive.Archive // run archive; nil when ArchiveDir is unset
+	zip      replayCompressor // compresses finished jobs' event replays
 
 	runCtx    context.Context
 	runCancel context.CancelFunc
 	wg        sync.WaitGroup
+
+	// localSlotGate, when set, runs before each in-process slot checks for
+	// a live fleet; tests use it to hold slots until a runner registers.
+	localSlotGate func(ctx context.Context, slot int)
 }
 
 // Open builds a manager over cfg.Dir, restores the jobs persisted there —
@@ -261,7 +266,7 @@ func (m *Manager) scan() error {
 			continue
 		}
 		env.Spec.Normalize()
-		j := newJob(env.ID, env.Key, env.Seq, env.Spec)
+		j := newJob(env.ID, env.Key, env.Seq, env.Spec, &m.zip)
 		m.jobs[j.ID] = j
 		if j.Key != "" {
 			m.byKey[j.Key] = j.ID
@@ -374,7 +379,7 @@ func (m *Manager) Submit(spec JobSpec, key string) (job *Job, created bool, err 
 	if err != nil {
 		return nil, false, err
 	}
-	j := newJob(id, key, m.nextSeq, spec)
+	j := newJob(id, key, m.nextSeq, spec, &m.zip)
 
 	// Persist before exposing: a job the API has acknowledged must survive a
 	// crash landing anywhere after this write.
@@ -501,7 +506,9 @@ func (m *Manager) engineHook() core.Hook {
 // flushTrace commits a terminal job's span timeline to its data directory
 // (trace.jsonl) via atomicio. Any spans still open — replicas of a
 // cancelled grid, the run span of a failed job — are closed as of now so
-// the file reconstructs a complete timeline.
+// the file reconstructs a complete timeline. Once the file is committed the
+// in-memory spans are dropped — TraceData serves the file from then on; if
+// the commit fails they stay.
 func (m *Manager) flushTrace(j *Job, outcome string) {
 	if j.trace == nil {
 		return
@@ -515,7 +522,9 @@ func (m *Manager) flushTrace(j *Job, outcome string) {
 	}
 	if err := atomicio.WriteFile(filepath.Join(m.jobDir(j.ID), traceFile), buf.Bytes(), 0o644); err != nil {
 		m.cfg.Logf("service: job %s: trace: %v", j.ID, err)
+		return
 	}
+	j.trace.Drop()
 }
 
 // TraceData returns a job's span timeline as JSONL: the committed trace

@@ -224,6 +224,9 @@ func (m *Manager) runJob(ctx context.Context, j *Job) error {
 func (m *Manager) computeLocal(ctx context.Context, j *Job, prob *problem.Instance, table *lease.Table) error {
 	opts := sched.Options{Workers: m.cfg.RunWorkers, Ctx: ctx, Skip: table.Committed}
 	report := sched.Run(j.Spec.Runs, opts, func(ctx context.Context, i int) error {
+		if m.localSlotGate != nil {
+			m.localSlotGate(ctx, i)
+		}
 		if m.coord.live() > 0 {
 			return nil // the fleet computes the rest
 		}
