@@ -37,6 +37,9 @@ var compatCases = []struct {
 	{"gola_tempering", `{"problem":{"kind":"gola","cells":12,"nets":40},"strategy":"tempering","g":"Metropolis","chains":3,"exchange_every":64,"budget":600,"seed":4}`},
 	{"tsp_annealing", `{"problem":{"kind":"tsp","n":12},"g":"Six Temperature Annealing","budget":400,"runs":2,"seed":4}`},
 	{"pmedian_g1", `{"problem":{"kind":"pmedian","n":14,"p":3},"budget":400,"runs":2,"seed":9}`},
+	{"nola_fig2", `{"problem":{"kind":"nola","cells":15,"nets":150},"strategy":"fig2","budget":2400,"runs":2,"seed":6}`},
+	{"gola_tempering_batch", `{"problem":{"kind":"gola","cells":15,"nets":150},"strategy":"tempering","g":"Six Temperature Annealing","chains":4,"batch":16,"budget":2400,"seed":12}`},
+	{"maxcut_tempering_batch", `{"problem":{"kind":"maxcut","cells":24,"nets":60},"strategy":"tempering","chains":4,"batch":8,"budget":1600,"seed":13}`},
 }
 
 type compatGolden struct {
