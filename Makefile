@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-json bench-service bench-selftest tables tune report examples cover fuzz profile determinism crash-test smoke chaos-test archive-test clean
+.PHONY: all build test vet bench bench-json bench-selftest tables tune report examples cover fuzz profile determinism crash-test smoke chaos-test archive-test clean
 
 all: build vet test
 
@@ -32,14 +32,6 @@ bench:
 # over time. The output is committed as BENCH_kernel.json.
 bench-json:
 	$(GO) test -json -run '^$$' -bench 'BenchmarkSwapEval$$|BenchmarkSwapApply$$|BenchmarkReinsertEval$$|BenchmarkSwapEvalLarge|BenchmarkBatchSwapEval|BenchmarkTempering|BenchmarkFigure1Hooks$$|BenchmarkHookObs$$|BenchmarkMaxCutFlip$$' -benchmem . > BENCH_kernel.json
-
-# Service-layer latency under concurrent load: start a throwaway mcoptd,
-# drive it with cmd/mcoptload (concurrent submits + NDJSON stream watch on
-# small registry-served max-cut jobs), and record submit / first-event /
-# done / result-fetch percentiles. The output is committed as
-# BENCH_service.json.
-bench-service:
-	GO=$(GO) bash scripts/service_bench.sh
 
 # The repository benchmark's own tests (benchmark/ is a separate module
 # built against this tree). They pin what the benchmark reads from the

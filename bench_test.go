@@ -474,19 +474,25 @@ func BenchmarkHookObsParallel(b *testing.B) {
 // with K and the moves/s metric is the whole-ladder rate. On a multi-core
 // host K=8 should approach 8× the K=1 rate (the chains step on independent
 // workers between barriers); on a single core the K variants stay near par,
-// which bounds the coordination overhead instead.
+// which bounds the coordination overhead instead. K=4/B=16 is the
+// paper-grid tempering shape: its chains draw blocks of 16 and evaluate
+// only the candidates they decide, up to each block's first accept.
 func BenchmarkTempering(b *testing.B) {
 	nl := mcopt.RandomGraph(mcopt.Stream("bench/pt", 1), 15, 150)
 	start := mcopt.RandomArrangement(nl, mcopt.Stream("bench/pt-start", 1))
-	for _, k := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+	for _, c := range []struct{ k, batch int }{{1, 0}, {4, 0}, {8, 0}, {4, 16}} {
+		name := fmt.Sprintf("K=%d", c.k)
+		if c.batch > 0 {
+			name += fmt.Sprintf("/B=%d", c.batch)
+		}
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var moves int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sol := mcopt.NewLinearSolution(start.Clone(), mcopt.PairwiseInterchange)
-				res := mcopt.Tempering{G: mcopt.GOne(), Chains: k, ExchangeEvery: 256}.
-					Run(sol, mcopt.NewBudget(int64(k)*1200), mcopt.DeriveStream("bench/pt-run", 1, uint64(i)))
+				res := mcopt.Tempering{G: mcopt.GOne(), Chains: c.k, ExchangeEvery: 256, Batch: c.batch}.
+					Run(sol, mcopt.NewBudget(int64(c.k)*1200), mcopt.DeriveStream("bench/pt-run", 1, uint64(i)))
 				moves += res.Moves
 			}
 			b.ReportMetric(float64(moves)/b.Elapsed().Seconds(), "moves/s")
@@ -495,10 +501,11 @@ func BenchmarkTempering(b *testing.B) {
 }
 
 // BenchmarkBatchSwapEval measures per-candidate evaluation cost under
-// batching: one op is one evaluated swap candidate. Every candidate goes
-// through the serial evaluator, so the B variants converge; they differ
-// only by the per-batch settle, which B=1 pays on every candidate. The
-// serial kernel baselines are BenchmarkSwapEval and BenchmarkSwapEvalLarge.
+// batching: one op is one evaluated swap candidate, with ProposeBatch
+// evaluating every candidate of the block. Every candidate goes through the
+// serial evaluator, so the B variants converge; they differ only by the
+// per-block draw setup. The serial kernel baselines are BenchmarkSwapEval
+// and BenchmarkSwapEvalLarge.
 // The instance is a large sparse graph (n=4096, 2 nets per cell): 64 gap
 // blocks, so a swap's window spans many blocks that hold no posted
 // endpoint and are read through their committed maxima.
@@ -528,6 +535,21 @@ func BenchmarkFigure2GOLA(b *testing.B) {
 		sol := mcopt.NewLinearSolution(start.Clone(), mcopt.PairwiseInterchange)
 		res := mcopt.Figure2{G: mcopt.GOne()}.Run(sol, mcopt.NewBudget(1200),
 			mcopt.DeriveStream("bench/fig2-run", 1, uint64(i)))
+		b.ReportMetric(res.Reduction(), "reduction")
+	}
+}
+
+// BenchmarkFigure2NOLA is the paper-grid Figure-2 shape: a 15-cell,
+// 150-net NOLA instance (2–8 pins per net, the service's default) under
+// the full 2400-move budget, which first-improvement descents dominate.
+func BenchmarkFigure2NOLA(b *testing.B) {
+	nl := mcopt.RandomHyper(mcopt.Stream("bench/fig2-nola", 1), 15, 150, 2, 8)
+	start := mcopt.RandomArrangement(nl, mcopt.Stream("bench/fig2-nola-start", 1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sol := mcopt.NewLinearSolution(start.Clone(), mcopt.PairwiseInterchange)
+		res := mcopt.Figure2{G: mcopt.GOne()}.Run(sol, mcopt.NewBudget(2400),
+			mcopt.DeriveStream("bench/fig2-nola-run", 1, uint64(i)))
 		b.ReportMetric(res.Reduction(), "reduction")
 	}
 }

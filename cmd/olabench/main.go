@@ -61,7 +61,7 @@ func main() {
 	engine := flag.String("engine", "fig1", "engine behind Figure-1 methods: fig1 (serial walk) or tempering (replica exchange)")
 	chains := flag.Int("chains", 4, "tempering chain count (with -engine=tempering)")
 	exchangeEvery := flag.Int64("exchange-every", 256, "tempering moves per chain between exchange attempts")
-	batch := flag.Int("batch", 0, "evaluate proposals in blocks of this size (0/1 = serial); a distinct deterministic trajectory")
+	batch := flag.Int("batch", 0, "draw proposals in blocks of this size (0/1 = serial); a distinct deterministic trajectory")
 	timeout := flag.Duration("timeout", 0, "stop after this wall-clock limit, flushing partial tables (0 = none)")
 	ckptDir := flag.String("checkpoint", "", "journal completed cells to write-ahead logs under this directory")
 	resume := flag.Bool("resume", false, "continue from the journals left in -checkpoint by an earlier run")

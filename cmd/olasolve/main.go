@@ -53,7 +53,7 @@ func main() {
 	engine := flag.String("engine", "fig1", "fig1 engine: fig1 (serial walk) or tempering (replica exchange)")
 	chains := flag.Int("chains", 4, "tempering chain count")
 	exchangeEvery := flag.Int64("exchange-every", 256, "tempering moves per chain between exchange attempts")
-	batch := flag.Int("batch", 0, "evaluate proposals in blocks of this size (0/1 = serial)")
+	batch := flag.Int("batch", 0, "draw proposals in blocks of this size (0/1 = serial)")
 	workers := flag.Int("workers", 0, "tempering worker goroutines (0 = all cores); result identical for any value")
 	budget := flag.Int64("budget", 2400, "move budget (2400 = the paper's 12 VAX seconds)")
 	seed := flag.Uint64("seed", 1, "random stream seed")

@@ -2,29 +2,37 @@ package core
 
 import "math/rand/v2"
 
-// BatchEvaluator is an optional Solution capability: drawing and evaluating
-// a block of candidate perturbations against the committed state in one
-// call. A solution that can set up its evaluation scaffolding once per
-// block — rather than once per proposal — amortizes that overhead across
-// the block; internal/linarr uses it to share the gap tree's
-// committed-maxima index across B swap evaluations.
+// BatchEvaluator is an optional Solution capability: drawing a block of
+// candidate perturbations in one call and evaluating them one at a time,
+// in any order, against the committed state. An engine that decides a
+// block in draw order evaluates only the candidates it decides and stops
+// at the first accept, so a block costs what its decisions read; the block
+// only changes the order in which the random stream is consumed (all draw
+// randomness first, decision randomness after).
 //
 // Engines detect the capability with a type assertion and fall back to the
-// serial Propose path when it is absent, so implementing it is purely an
-// optimization and never changes what a solution can express.
+// serial Propose path when it is absent, so implementing it never changes
+// what a solution can express.
 type BatchEvaluator interface {
 	Solution
 
-	// ProposeBatch draws len(deltas) candidate perturbations with r — the
-	// same draw recipe, in the same order, as len(deltas) consecutive
-	// Propose calls — and fills deltas[i] with candidate i's cost change.
-	// Every candidate is evaluated against the same committed state, and
-	// none is applied. The batch stays valid until the next ProposeBatch,
-	// Propose, or mutation of the solution.
-	ProposeBatch(r *rand.Rand, deltas []float64)
+	// DrawBatch draws n candidate perturbations with r — the same draw
+	// recipe, in the same order, as n consecutive Propose calls — without
+	// evaluating any of them. The block stays valid until the next
+	// DrawBatch, Propose, or mutation of the solution.
+	DrawBatch(r *rand.Rand, n int)
 
-	// ApplyBatch commits candidate i of the most recent ProposeBatch and
-	// invalidates the rest of the batch (their deltas were measured against
-	// the pre-move state). It panics if the batch has been invalidated.
+	// EvalBatch returns candidate i's cost change against the committed
+	// state. Candidates may be evaluated in any order, and none is applied.
+	// It panics if the block is stale.
+	EvalBatch(i int) float64
+
+	// ApplyBatch commits candidate i, which EvalBatch has evaluated, and
+	// invalidates the rest of the block (their deltas were measured against
+	// the pre-move state). It panics if the block is stale.
 	ApplyBatch(i int)
+
+	// ProposeBatch is DrawBatch(r, len(deltas)) followed by EvalBatch of
+	// every candidate into deltas.
+	ProposeBatch(r *rand.Rand, deltas []float64)
 }

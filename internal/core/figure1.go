@@ -28,14 +28,15 @@ type Figure1 struct {
 	Plateau PlateauPolicy
 
 	// Batch, when > 1 and the solution implements BatchEvaluator, switches
-	// to the batched loop: proposals are drawn and evaluated in blocks of
-	// Batch against the committed state, amortizing per-evaluation setup.
-	// Each evaluated candidate costs one budget unit; candidates drawn
-	// after an accepted one are discarded undecided (their deltas were
-	// measured against the pre-move state) but still charged, so the
-	// budget keeps counting cost evaluations. 0 and 1 run the serial loop
-	// unchanged; Batch > 1 consumes the random stream in a different
-	// order, so it is a distinct (still deterministic) trajectory.
+	// to the batched loop: proposals are drawn in blocks of Batch, then
+	// evaluated against the committed state and decided one at a time, in
+	// draw order, until the first accept. Every drawn candidate costs one
+	// budget unit; candidates drawn after an accepted one are charged but
+	// never evaluated or decided (they were drawn from the pre-move
+	// state). So a block costs only what its decisions read, and Batch
+	// changes only the order in which the random stream is consumed: 0
+	// and 1 run the serial loop unchanged, while Batch > 1 is a distinct
+	// (still deterministic) trajectory.
 	Batch int
 
 	// Hook, if non-nil, receives an Event at every decision point: run

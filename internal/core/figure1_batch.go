@@ -2,14 +2,14 @@ package core
 
 import "math/rand/v2"
 
-// runBatched is Figure1.Run over a BatchEvaluator: proposals are drawn and
-// evaluated Batch at a time against the committed state, then decided in
-// draw order. The decision rule, the level clock, the n counter, the gate,
-// and the plateau policy are exactly the serial loop's; the differences are
-// bounded to (a) the random stream being consumed in batch order (all draw
-// randomness up front, decision randomness after) and (b) candidates drawn
-// after an accepted one being discarded undecided — both deterministic for
-// a fixed seed.
+// runBatched is Figure1.Run over a BatchEvaluator: proposals are drawn
+// Batch at a time, then evaluated against the committed state and decided
+// in draw order, one at a time. The decision rule, the level clock, the n
+// counter, the gate, and the plateau policy are exactly the serial loop's;
+// the differences are bounded to (a) the random stream being consumed in
+// batch order (all draw randomness up front, decision randomness after)
+// and (b) candidates drawn after an accepted one being charged but never
+// evaluated or decided — both deterministic for a fixed seed.
 //
 // The level clock runs on virtual budget marks: block candidate j occupies
 // the mark the serial loop's j-th TrySpend would have, so the budget-share
@@ -37,7 +37,6 @@ func (f Figure1) runBatched(s BatchEvaluator, b *Budget, r *rand.Rand) Result {
 	counter := 0
 	gate := f.G.Gate()
 	gateCount := 0
-	deltas := make([]float64, f.Batch)
 
 	emitAt := func(kind EventKind, d float64, move int64) {
 		if f.Hook != nil {
@@ -89,10 +88,10 @@ func (f Figure1) runBatched(s BatchEvaluator, b *Budget, r *rand.Rand) Result {
 		if grant == 0 {
 			break
 		}
-		block := deltas[:grant]
-		s.ProposeBatch(r, block)
-		for j, d := range block {
+		s.DrawBatch(r, int(grant))
+		for j := range int(grant) {
 			move := base + int64(j)
+			d := s.EvalBatch(j)
 			for temp < k && move >= levelEnd[temp-1] {
 				advance()
 			}
@@ -152,8 +151,8 @@ func (f Figure1) runBatched(s BatchEvaluator, b *Budget, r *rand.Rand) Result {
 				}
 			}
 			if committed {
-				// The rest of the block was evaluated against the old
-				// state: charged, discarded, never decided.
+				// The rest of the block is charged but never evaluated:
+				// its deltas would read the pre-move state.
 				break
 			}
 		}

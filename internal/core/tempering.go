@@ -46,7 +46,7 @@ type Tempering struct {
 	Temps []float64
 
 	// Batch, when > 1 and the solution implements BatchEvaluator, makes
-	// each chain evaluate proposals in blocks of Batch (see Figure1.Batch
+	// each chain draw its proposals in blocks of Batch (see Figure1.Batch
 	// for the batched-decision semantics).
 	Batch int
 
@@ -129,11 +129,9 @@ func (t Tempering) Run(s Solution, b *Budget, r *rand.Rand) Result {
 		}
 	}
 	gate := t.G.Gate()
-	batch := 0
+	batched := false
 	if t.Batch > 1 {
-		if _, ok := s.(BatchEvaluator); ok {
-			batch = t.Batch
-		}
+		_, batched = s.(BatchEvaluator)
 	}
 
 	cost := s.Cost()
@@ -169,7 +167,7 @@ func (t Tempering) Run(s Solution, b *Budget, r *rand.Rand) Result {
 		} else {
 			ch.sol = s.Clone()
 		}
-		if batch > 0 {
+		if batched {
 			ch.be, _ = ch.sol.(BatchEvaluator)
 		}
 		ch.stat.Level = ch.level
@@ -190,11 +188,6 @@ func (t Tempering) Run(s Solution, b *Budget, r *rand.Rand) Result {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, K)
-
-	var deltas []float64
-	if batch > 0 {
-		deltas = make([]float64, K*batch)
-	}
 
 	// stepWorker steps chains claimed from next until none is left. It is
 	// built once per run, so a round's goroutines allocate nothing.
@@ -217,7 +210,7 @@ func (t Tempering) Run(s Solution, b *Budget, r *rand.Rand) Result {
 						ch.panicked = p
 					}
 				}()
-				t.step(ch, gate, hooked, batchSlice(deltas, c, batch))
+				t.step(ch, gate, hooked)
 			}()
 		}
 	}
@@ -248,7 +241,7 @@ func (t Tempering) Run(s Solution, b *Budget, r *rand.Rand) Result {
 		if workers == 1 {
 			for _, ch := range chains {
 				if ch.grant > 0 {
-					t.step(ch, gate, hooked, batchSlice(deltas, ch.idx, batch))
+					t.step(ch, gate, hooked)
 				}
 			}
 		} else {
@@ -381,21 +374,12 @@ func chainLevel(c, K, k int) int {
 	return k - (c*(k-1)+(K-1)/2)/(K-1)
 }
 
-// batchSlice carves chain c's delta scratch out of the shared allocation;
-// nil when batching is off.
-func batchSlice(deltas []float64, c, batch int) []float64 {
-	if batch == 0 {
-		return nil
-	}
-	return deltas[c*batch : (c+1)*batch]
-}
-
 // step runs one chain's share of a round: grant moves of the fixed-level
 // Metropolis walk, serial or batched. It runs on a worker goroutine and
 // touches only the chain's own state.
-func (t Tempering) step(ch *temperChain, gate int, buffer bool, deltas []float64) {
+func (t Tempering) step(ch *temperChain, gate int, buffer bool) {
 	if ch.be != nil {
-		t.stepBatched(ch, gate, buffer, deltas)
+		t.stepBatched(ch, gate, buffer)
 		return
 	}
 	s := ch.sol
@@ -408,28 +392,25 @@ func (t Tempering) step(ch *temperChain, gate int, buffer bool, deltas []float64
 	ch.stat.Moves += ch.grant
 }
 
-// stepBatched is step over ProposeBatch blocks. All evaluated candidates
-// are charged to the chain's grant; candidates after an accepted one are
-// discarded undecided, exactly as in Figure1's batched loop.
-func (t Tempering) stepBatched(ch *temperChain, gate int, buffer bool, deltas []float64) {
-	off := int64(0)
-	for off < ch.grant {
-		nb := min(int64(len(deltas)), ch.grant-off)
-		block := deltas[:nb]
-		ch.be.ProposeBatch(ch.r, block)
-		for j := range block {
-			move := ch.base + off + int64(j)
+// stepBatched is step over DrawBatch blocks. Every drawn candidate is
+// charged to the chain's grant; candidates are evaluated only as they are
+// decided, and those after an accepted one are never evaluated, exactly as
+// in Figure1's batched loop.
+func (t Tempering) stepBatched(ch *temperChain, gate int, buffer bool) {
+	for off := int64(0); off < ch.grant; {
+		nb := int(min(int64(t.Batch), ch.grant-off))
+		ch.be.DrawBatch(ch.r, nb)
+		for j := range nb {
 			committed := false
-			jj := j
-			ch.decide(&t, gate, buffer, move, block[j], func() {
-				ch.be.ApplyBatch(jj)
+			ch.decide(&t, gate, buffer, ch.base+off+int64(j), ch.be.EvalBatch(j), func() {
+				ch.be.ApplyBatch(j)
 				committed = true
 			})
 			if committed {
 				break
 			}
 		}
-		off += nb
+		off += int64(nb)
 	}
 	ch.stat.Moves += ch.grant
 }

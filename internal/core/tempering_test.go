@@ -21,27 +21,43 @@ func (g constG) Prob(int, float64, float64) float64 { return g.prob }
 
 // batchLattice is a lattice with the BatchEvaluator capability. Candidates
 // are drawn with exactly the serial recipe against the committed position,
-// so a batch of B consumes the random stream like B consecutive Propose
-// calls — the contract engines rely on for Batch = 1 byte-identity.
+// so a block of B consumes the random stream like B consecutive Propose
+// calls — the contract engines rely on for Batch = 1 byte-identity. When
+// evals is set, it counts EvalBatch calls across the lattice and its
+// clones (unsynchronized: count only single-worker runs).
 type batchLattice struct {
 	lattice
 	cands []int
+	evals *int
 }
 
 func (l *batchLattice) Clone() Solution {
-	return &batchLattice{lattice: lattice{pos: l.pos, costs: l.costs}}
+	return &batchLattice{lattice: lattice{pos: l.pos, costs: l.costs}, evals: l.evals}
+}
+
+func (l *batchLattice) DrawBatch(r *rand.Rand, n int) {
+	size := len(l.costs)
+	l.cands = l.cands[:0]
+	for range n {
+		to := (l.pos + 1) % size
+		if r.IntN(2) == 0 {
+			to = (l.pos - 1 + size) % size
+		}
+		l.cands = append(l.cands, to)
+	}
+}
+
+func (l *batchLattice) EvalBatch(i int) float64 {
+	if l.evals != nil {
+		*l.evals++
+	}
+	return l.costs[l.cands[i]] - l.costs[l.pos]
 }
 
 func (l *batchLattice) ProposeBatch(r *rand.Rand, deltas []float64) {
-	n := len(l.costs)
-	l.cands = l.cands[:0]
+	l.DrawBatch(r, len(deltas))
 	for i := range deltas {
-		to := (l.pos + 1) % n
-		if r.IntN(2) == 0 {
-			to = (l.pos - 1 + n) % n
-		}
-		l.cands = append(l.cands, to)
-		deltas[i] = l.costs[to] - l.costs[l.pos]
+		deltas[i] = l.EvalBatch(i)
 	}
 }
 
@@ -450,10 +466,11 @@ func TestFigure1BatchedLevelClock(t *testing.T) {
 }
 
 // TestFigure1BatchedDiscardsAfterAccept: candidates drawn after an accepted
-// one are charged to the budget but never decided.
+// one are charged to the budget but never evaluated or decided.
 func TestFigure1BatchedDiscardsAfterAccept(t *testing.T) {
 	flat := make([]float64, 8) // every move is an accepted plateau
-	l := &batchLattice{lattice: lattice{pos: 0, costs: flat}}
+	evals := 0
+	l := &batchLattice{lattice: lattice{pos: 0, costs: flat}, evals: &evals}
 	res := Figure1{G: constG{k: 1, prob: 0}, Batch: 10, Plateau: PlateauAccept}.
 		Run(l, NewBudget(50), rand.New(rand.NewPCG(8, 1)))
 	if res.Moves != 50 {
@@ -461,6 +478,36 @@ func TestFigure1BatchedDiscardsAfterAccept(t *testing.T) {
 	}
 	if res.Accepted != 5 {
 		t.Fatalf("Accepted = %d, want 5 (first candidate of each of 5 blocks)", res.Accepted)
+	}
+	if evals != 5 {
+		t.Fatalf("EvalBatch called %d times, want 5 (only decided candidates)", evals)
+	}
+}
+
+// TestTemperingBatchedEvaluatesOnlyDecided: a batched chain evaluates a
+// candidate only when it decides it, so evaluations equal the proposal
+// events, and a block ends at its first accept.
+func TestTemperingBatchedEvaluatesOnlyDecided(t *testing.T) {
+	run := func(costs []float64) (res Result, evals, decided int) {
+		l := &batchLattice{lattice: lattice{pos: 3, costs: costs}, evals: &evals}
+		hook := func(e Event) {
+			if e.Kind == EventPropose {
+				decided++
+			}
+		}
+		res = Tempering{G: constG{k: 3, prob: 0.4}, Chains: 4, ExchangeEvery: 50, Batch: 10, Workers: 1,
+			Plateau: PlateauAccept, Hook: hook}.Run(l, NewBudget(2000), rand.New(rand.NewPCG(7, 7)))
+		return res, evals, decided
+	}
+	// Every move on a flat landscape is an accepted plateau: one evaluation
+	// per block of 10.
+	res, evals, decided := run(make([]float64, 8))
+	if res.Moves != 2000 || evals != 200 || decided != 200 {
+		t.Fatalf("flat: Moves %d, evaluations %d, decided %d; want 2000, 200, 200", res.Moves, evals, decided)
+	}
+	res, evals, decided = run(valley(31))
+	if evals != decided || evals >= int(res.Moves) {
+		t.Fatalf("valley: %d evaluations for %d decided of %d charged candidates", evals, decided, res.Moves)
 	}
 }
 

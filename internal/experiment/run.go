@@ -32,7 +32,7 @@ type Config struct {
 	// engine defaults: 4 chains, 256 moves).
 	Chains        int
 	ExchangeEvery int64
-	// Batch, when > 1, evaluates proposals in blocks of Batch on solutions
+	// Batch, when > 1, draws proposals in blocks of Batch on solutions
 	// that support it (a distinct deterministic trajectory; see
 	// core.Figure1.Batch).
 	Batch int

@@ -57,8 +57,8 @@ type Arrangement struct {
 	swapMv    swapMove
 	reinsMv   reinsertMove
 
-	// batch is the lazily allocated candidate log of ProposeBatch (see
-	// batch.go); clones start without one.
+	// batch is the lazily allocated candidate log of the outstanding
+	// DrawBatch block (see batch.go); clones start without one.
 	batch *batchEval
 }
 

@@ -116,50 +116,101 @@ func TestProposeBatchSingleCell(t *testing.T) {
 	s.ApplyBatch(1) // identity plateau move commits cleanly
 }
 
+// TestEvalBatchMatchesProposeBatch pins the lazy protocol to the eager
+// one: DrawBatch consumes the stream exactly as ProposeBatch does,
+// EvalBatch(i) in any order (repeats included) returns ProposeBatch's
+// deltas[i], and ApplyBatch after EvalBatch(i) — the outstanding move, or
+// a re-evaluated earlier candidate — leaves the state ProposeBatch's
+// ApplyBatch(i) leaves.
+func TestEvalBatchMatchesProposeBatch(t *testing.T) {
+	gen := rand.New(rand.NewPCG(2026, 10))
+	instances := []struct {
+		name string
+		nl   *netlist.Netlist
+	}{
+		{"graph-n15", netlist.RandomGraph(gen, 15, 150)},
+		{"hyper-n20", netlist.RandomHyper(gen, 20, 15, 2, 6)},
+		{"graph-n2", netlist.RandomGraph(gen, 2, 3)},
+	}
+	const B = 16
+	for _, inst := range instances {
+		for _, kind := range []MoveKind{PairwiseInterchange, SingleExchange} {
+			for _, obj := range []Objective{Density, TotalSpan} {
+				t.Run(inst.name+"/"+kind.String()+"/"+obj.String(), func(t *testing.T) {
+					start := Random(inst.nl, rand.New(rand.NewPCG(3, 4)))
+					lazy := NewSolutionFor(start, kind, obj)
+					eager := NewSolutionFor(start.Clone(), kind, obj)
+					rl := rand.New(rand.NewPCG(41, 5))
+					re := rand.New(rand.NewPCG(41, 5))
+					pick := rand.New(rand.NewPCG(8, 8))
+					deltas := make([]float64, B)
+					for round := 0; round < 30; round++ {
+						eager.ProposeBatch(re, deltas)
+						lazy.DrawBatch(rl, B)
+						if rl.Uint64() != re.Uint64() {
+							t.Fatalf("round %d: DrawBatch left the stream elsewhere than ProposeBatch", round)
+						}
+						for _, i := range pick.Perm(B)[:1+pick.IntN(B)] {
+							if got := lazy.EvalBatch(i); got != deltas[i] {
+								t.Fatalf("round %d: EvalBatch(%d) = %g, ProposeBatch %g", round, i, got, deltas[i])
+							}
+						}
+						i := pick.IntN(B)
+						if got := lazy.EvalBatch(i); got != deltas[i] {
+							t.Fatalf("round %d: EvalBatch(%d) = %g, ProposeBatch %g", round, i, got, deltas[i])
+						}
+						if pick.IntN(3) == 0 {
+							// Move the outstanding proposal to another
+							// candidate, so ApplyBatch(i) re-evaluates.
+							lazy.EvalBatch(pick.IntN(B))
+						}
+						lazy.ApplyBatch(i)
+						eager.ApplyBatch(i)
+						if lazy.Cost() != eager.Cost() || !slices.Equal(lazy.arr.Order(), eager.arr.Order()) {
+							t.Fatalf("round %d: states diverged after ApplyBatch(%d)", round, i)
+						}
+						checkAgainstOracle(t, lazy.arr, "lazy")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestApplyBatchStalePanics: ApplyBatch and EvalBatch panic on a block
+// that any other evaluation or commit has made stale, outside the block,
+// with no block drawn, and (ApplyBatch) on a candidate never evaluated.
 func TestApplyBatchStalePanics(t *testing.T) {
 	nl := netlist.RandomGraph(rand.New(rand.NewPCG(7, 7)), 10, 20)
 	s := NewSolution(Random(nl, rand.New(rand.NewPCG(8, 8))), PairwiseInterchange)
+	fresh := NewSolution(Random(nl, rand.New(rand.NewPCG(10, 10))), PairwiseInterchange)
 	r := rand.New(rand.NewPCG(9, 9))
 	deltas := make([]float64, 4)
-
-	t.Run("after serial proposal", func(t *testing.T) {
-		s.ProposeBatch(r, deltas)
-		s.Propose(r) // bumps the arrangement seq: batch is stale
-		defer func() {
-			if recover() == nil {
-				t.Fatal("no panic")
-			}
-		}()
-		s.ApplyBatch(0)
-	})
-	t.Run("after commit", func(t *testing.T) {
-		s.ProposeBatch(r, deltas)
-		s.ApplyBatch(2)
-		defer func() {
-			if recover() == nil {
-				t.Fatal("no panic")
-			}
-		}()
-		s.ApplyBatch(1)
-	})
-	t.Run("out of range", func(t *testing.T) {
-		s.ProposeBatch(r, deltas)
-		defer func() {
-			if recover() == nil {
-				t.Fatal("no panic")
-			}
-		}()
-		s.ApplyBatch(4)
-	})
-	t.Run("no batch", func(t *testing.T) {
-		fresh := NewSolution(Random(nl, rand.New(rand.NewPCG(10, 10))), PairwiseInterchange)
-		defer func() {
-			if recover() == nil {
-				t.Fatal("no panic")
-			}
-		}()
-		fresh.ApplyBatch(0)
-	})
+	for _, c := range []struct {
+		name  string
+		setup func() // must not panic
+		stale func() // must panic
+	}{
+		{"after serial proposal", func() { s.ProposeBatch(r, deltas); s.Propose(r) }, func() { s.ApplyBatch(0) }},
+		{"after commit", func() { s.ProposeBatch(r, deltas); s.ApplyBatch(2) }, func() { s.ApplyBatch(1) }},
+		{"out of range", func() { s.ProposeBatch(r, deltas) }, func() { s.ApplyBatch(4) }},
+		{"no batch", func() {}, func() { fresh.ApplyBatch(0) }},
+		{"unevaluated candidate", func() { s.DrawBatch(r, 4); s.EvalBatch(1) }, func() { s.ApplyBatch(2) }},
+		{"eval after serial proposal", func() { s.DrawBatch(r, 4); s.EvalBatch(0); s.Propose(r) }, func() { s.EvalBatch(1) }},
+		{"eval after commit", func() { s.DrawBatch(r, 4); s.EvalBatch(3); s.ApplyBatch(3) }, func() { s.EvalBatch(0) }},
+		{"eval out of range", func() { s.DrawBatch(r, 4) }, func() { s.EvalBatch(4) }},
+		{"eval with no batch", func() {}, func() { fresh.EvalBatch(0) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.setup()
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic")
+				}
+			}()
+			c.stale()
+		})
+	}
 }
 
 // TestProposeBatchCloneIndependent: the batch scratch must not travel with

@@ -119,14 +119,22 @@ func (s *Solution) Clone() core.Solution {
 }
 
 // Descend drives the arrangement to a local optimum of its move class by
-// repeated first-improvement sweeps, charging one budget unit per evaluated
+// repeated first-improvement sweeps, charging one budget unit per
 // candidate. It returns false if the budget ran out before a full sweep
 // completed with no improvement (§ Figure 2, Step 2).
+//
+// Under the density objective a candidate is evaluated only if its window
+// of changed gaps, [min(p,q), max(p,q)), covers every gap at the density:
+// otherwise a gap outside the window keeps the density and the delta is
+// ≥ 0. Such a candidate is charged but not evaluated, so the trajectory
+// and the budget are those of evaluating every candidate.
 func (s *Solution) Descend(b *core.Budget) bool {
-	n := s.arr.NumCells()
+	a := s.arr
+	n := a.NumCells()
 	if n < 2 {
 		return true
 	}
+	lo, hi := s.peak()
 	for {
 		improved := false
 		if s.kind == SingleExchange {
@@ -138,9 +146,13 @@ func (s *Solution) Descend(b *core.Budget) bool {
 					if !b.TrySpend() {
 						return false
 					}
-					if m := s.arr.EvalReinsertFor(p, q, s.obj); m.DeltaInt() < 0 {
+					if min(p, q) > lo || max(p, q) <= hi {
+						continue
+					}
+					if m := a.EvalReinsertFor(p, q, s.obj); m.DeltaInt() < 0 {
 						m.Apply()
 						improved = true
+						lo, hi = s.peak()
 					}
 				}
 			}
@@ -150,9 +162,13 @@ func (s *Solution) Descend(b *core.Budget) bool {
 					if !b.TrySpend() {
 						return false
 					}
-					if m := s.arr.EvalSwapFor(p, q, s.obj); m.DeltaInt() < 0 {
+					if p > lo || q <= hi {
+						continue
+					}
+					if m := a.EvalSwapFor(p, q, s.obj); m.DeltaInt() < 0 {
 						m.Apply()
 						improved = true
+						lo, hi = s.peak()
 					}
 				}
 			}
@@ -161,4 +177,25 @@ func (s *Solution) Descend(b *core.Budget) bool {
 			return true
 		}
 	}
+}
+
+// peak returns the bounds Descend's windows must cover to be evaluated:
+// under the density objective the lowest and highest gaps at the density,
+// read from the committed counts; under TotalSpan, where any move may
+// improve, bounds every window covers.
+func (s *Solution) peak() (lo, hi int) {
+	if s.obj != Density {
+		return s.arr.NumCells(), -1
+	}
+	cut, d := s.arr.tree.cut, s.arr.dens
+	lo, hi = -1, -1
+	for g, c := range cut {
+		if c == d {
+			if lo < 0 {
+				lo = g
+			}
+			hi = g
+		}
+	}
+	return lo, hi
 }

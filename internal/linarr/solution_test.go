@@ -1,6 +1,9 @@
 package linarr
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"mcopt/internal/core"
@@ -65,6 +68,97 @@ func TestDescendReachesLocalOptimum(t *testing.T) {
 					if m.DeltaInt() < 0 {
 						t.Fatalf("%v trial %d: improving move (%d,%d) remains after descend", kind, trial, p, q)
 					}
+				}
+			}
+		}
+	}
+}
+
+// descendUnfiltered is Descend without the peak-gap bound: every candidate
+// is evaluated. It is the reference TestDescendMatchesUnfiltered holds the
+// bounded descent to.
+func descendUnfiltered(s *Solution, b *core.Budget) bool {
+	n := s.arr.NumCells()
+	if n < 2 {
+		return true
+	}
+	for {
+		improved := false
+		if s.kind == SingleExchange {
+			for p := 0; p < n; p++ {
+				for q := 0; q < n; q++ {
+					if p == q {
+						continue
+					}
+					if !b.TrySpend() {
+						return false
+					}
+					if m := s.arr.EvalReinsertFor(p, q, s.obj); m.DeltaInt() < 0 {
+						m.Apply()
+						improved = true
+					}
+				}
+			}
+		} else {
+			for p := 0; p < n-1; p++ {
+				for q := p + 1; q < n; q++ {
+					if !b.TrySpend() {
+						return false
+					}
+					if m := s.arr.EvalSwapFor(p, q, s.obj); m.DeltaInt() < 0 {
+						m.Apply()
+						improved = true
+					}
+				}
+			}
+		}
+		if !improved {
+			return true
+		}
+	}
+}
+
+// TestDescendMatchesUnfiltered: the peak-gap bound skips only candidates
+// that cannot improve, so Descend must retrace the unfiltered descent — the
+// same completion flag, budget charge, order and cost after every descent.
+// Instances are GOLA graphs and multi-pin NOLA netlists of 2–31 cells,
+// under both move kinds and both objectives; budgets often end mid-sweep,
+// and random applied moves separate the descents.
+func TestDescendMatchesUnfiltered(t *testing.T) {
+	gen := rand.New(rand.NewPCG(2026, 19))
+	for trial := 0; trial < 48; trial++ {
+		cells := 2 + gen.IntN(30)
+		shape := "gola"
+		nl := netlist.RandomGraph(gen, cells, 1+gen.IntN(5*cells))
+		if trial%2 == 1 {
+			shape = "nola"
+			nl = netlist.RandomHyper(gen, cells, 1+gen.IntN(3*cells), 2, min(cells, 6))
+		}
+		kind, obj := MoveKind(trial/2%2), Objective(trial/4%2)
+		start := Random(nl, gen)
+		got := NewSolutionFor(start, kind, obj)
+		want := NewSolutionFor(start.Clone(), kind, obj)
+		for round := 0; round < 5; round++ {
+			label := fmt.Sprintf("trial %d (%s, %d cells, %v, %v) round %d", trial, shape, cells, kind, obj, round)
+			limit := int64(gen.IntN(3 * cells * cells))
+			bg, bw := core.NewBudget(limit), core.NewBudget(limit)
+			dg, dw := got.Descend(bg), descendUnfiltered(want, bw)
+			if dg != dw || bg.Used() != bw.Used() {
+				t.Fatalf("%s: budget %d: done %v after %d moves, unfiltered done %v after %d",
+					label, limit, dg, bg.Used(), dw, bw.Used())
+			}
+			if got.Cost() != want.Cost() || !slices.Equal(got.arr.Order(), want.arr.Order()) {
+				t.Fatalf("%s: cost %g order %v, unfiltered cost %g order %v",
+					label, got.Cost(), got.arr.Order(), want.Cost(), want.arr.Order())
+			}
+			for k := gen.IntN(4); k > 0; k-- {
+				p, q := gen.IntN(cells), gen.IntN(cells)
+				if gen.IntN(2) == 0 {
+					got.arr.EvalSwap(p, q).Apply()
+					want.arr.EvalSwap(p, q).Apply()
+				} else {
+					got.arr.EvalReinsert(p, q).Apply()
+					want.arr.EvalReinsert(p, q).Apply()
 				}
 			}
 		}

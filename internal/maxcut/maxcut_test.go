@@ -2,6 +2,7 @@ package maxcut
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -193,6 +194,55 @@ func TestBatchMatchesSerial(t *testing.T) {
 		}
 	}()
 	s1.ApplyBatch(4)
+}
+
+// TestEvalBatchMatchesProposeBatch pins the lazy protocol to the eager
+// one: DrawBatch consumes the stream exactly as ProposeBatch does,
+// EvalBatch(i) in any order returns ProposeBatch's deltas[i], ApplyBatch
+// after EvalBatch(i) leaves the state ProposeBatch's ApplyBatch(i) leaves,
+// and a stale EvalBatch panics.
+func TestEvalBatchMatchesProposeBatch(t *testing.T) {
+	g := Random(rng.Stream("test/lazy", 1), 40, 160)
+	start := RandomCut(g, rng.Stream("test/lazy/start", 1))
+	lazy, eager := NewSolution(start.Clone()), NewSolution(start.Clone())
+	rl, re := rng.Stream("test/lazy/run", 3), rng.Stream("test/lazy/run", 3)
+	pick := rng.Stream("test/lazy/pick", 1)
+	deltas := make([]float64, 8)
+	for round := 0; round < 40; round++ {
+		eager.ProposeBatch(re, deltas)
+		lazy.DrawBatch(rl, len(deltas))
+		if rl.Uint64() != re.Uint64() {
+			t.Fatalf("round %d: DrawBatch left the stream elsewhere than ProposeBatch", round)
+		}
+		for _, i := range pick.Perm(len(deltas)) {
+			if got := lazy.EvalBatch(i); got != deltas[i] {
+				t.Fatalf("round %d: EvalBatch(%d) = %v, ProposeBatch %v", round, i, got, deltas[i])
+			}
+		}
+		i := pick.IntN(len(deltas))
+		lazy.ApplyBatch(i)
+		eager.ApplyBatch(i)
+		if !slices.Equal(lazy.Cut().Sides(), eager.Cut().Sides()) || lazy.CutWeight() != eager.CutWeight() ||
+			lazy.Cut().computeWeight() != lazy.CutWeight() {
+			t.Fatalf("round %d: states diverged after ApplyBatch(%d)", round, i)
+		}
+	}
+	for name, stale := range map[string]func(){
+		"after commit":  func() { lazy.DrawBatch(rl, 4); lazy.EvalBatch(1); lazy.ApplyBatch(1) },
+		"after Propose": func() { lazy.DrawBatch(rl, 4); lazy.Propose(rl) },
+		"after Descend": func() { lazy.DrawBatch(rl, 4); lazy.Descend(core.NewBudget(1)) },
+		"out of range":  func() { lazy.DrawBatch(rl, 0) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			stale()
+			defer func() {
+				if recover() == nil {
+					t.Fatal("EvalBatch on a stale batch did not panic")
+				}
+			}()
+			lazy.EvalBatch(0)
+		})
+	}
 }
 
 // TestEngineImprovesCut runs the real Figure-1 engine with g = 1 and checks

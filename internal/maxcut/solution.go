@@ -20,7 +20,7 @@ type Solution struct {
 	// mv is the storage behind the move Propose and EvalNeighbor return;
 	// the next proposal overwrites it, which the Move contract allows.
 	mv flipMove
-	// batch is the most recent ProposeBatch's candidate vertices; valid
+	// batch is the most recent DrawBatch's candidate vertices; valid
 	// while batchOK and the cut has not mutated since batchSeq.
 	batch    []int32
 	batchSeq uint64
@@ -116,32 +116,49 @@ func (s *Solution) EvalNeighbor(idx int) problem.Move {
 	return s.eval(idx)
 }
 
-// ProposeBatch draws len(deltas) candidate flips — the same draw recipe,
-// in the same order, as that many consecutive Propose calls — and fills
-// deltas with each candidate's cost change against the committed state.
-func (s *Solution) ProposeBatch(r *rand.Rand, deltas []float64) {
-	if cap(s.batch) < len(deltas) {
-		s.batch = make([]int32, len(deltas))
+// DrawBatch draws n candidate flips — the same draw recipe, in the same
+// order, as that many consecutive Propose calls — without evaluating them.
+func (s *Solution) DrawBatch(r *rand.Rand, n int) {
+	if cap(s.batch) < n {
+		s.batch = make([]int32, n)
 	}
-	s.batch = s.batch[:len(deltas)]
-	for i := range deltas {
-		v := r.IntN(s.c.g.n)
-		s.batch[i] = int32(v)
-		deltas[i] = float64(-s.c.FlipDelta(v))
+	s.batch = s.batch[:n]
+	for i := range s.batch {
+		s.batch[i] = int32(r.IntN(s.c.g.n))
 	}
 	s.batchSeq = s.c.seq
 	s.batchOK = true
 }
 
-// ApplyBatch commits candidate i of the most recent ProposeBatch and
-// invalidates the rest of the batch.
+// EvalBatch returns candidate i's cost change against the committed state.
+func (s *Solution) EvalBatch(i int) float64 {
+	return float64(-s.c.FlipDelta(s.batchVertex("EvalBatch", i)))
+}
+
+// ProposeBatch draws len(deltas) candidate flips and evaluates every one.
+func (s *Solution) ProposeBatch(r *rand.Rand, deltas []float64) {
+	s.DrawBatch(r, len(deltas))
+	for i := range deltas {
+		deltas[i] = s.EvalBatch(i)
+	}
+}
+
+// ApplyBatch commits candidate i of the most recent DrawBatch and
+// invalidates the rest of the block.
 func (s *Solution) ApplyBatch(i int) {
+	v := s.batchVertex("ApplyBatch", i)
+	s.batchOK = false
+	s.c.Flip(v)
+}
+
+// batchVertex returns candidate i's vertex, panicking if the block is
+// stale or i is outside it.
+func (s *Solution) batchVertex(op string, i int) int {
 	if !s.batchOK || s.batchSeq != s.c.seq {
-		panic("maxcut: ApplyBatch on a stale batch")
+		panic("maxcut: " + op + " on a stale batch")
 	}
 	if i < 0 || i >= len(s.batch) {
-		panic("maxcut: ApplyBatch index out of range")
+		panic("maxcut: " + op + " index out of range")
 	}
-	s.batchOK = false
-	s.c.Flip(int(s.batch[i]))
+	return int(s.batch[i])
 }

@@ -62,9 +62,11 @@ type JobSpec struct {
 	// ExchangeEvery is the tempering round length: moves each chain runs
 	// between exchange attempts (default 256). Only valid with "tempering".
 	ExchangeEvery int64 `json:"exchange_every,omitempty"`
-	// Batch, when > 1, makes engines evaluate proposals in blocks of Batch
-	// on solutions that support batched evaluation (GOLA/NOLA, maxcut).
-	// Valid with "fig1" and "tempering".
+	// Batch, when > 1, makes engines draw proposals in blocks of Batch on
+	// solutions that support batched evaluation (GOLA/NOLA, maxcut); each
+	// block is evaluated only up to its first accept. It changes the order
+	// of the random stream, not the cost per move. Valid with "fig1" and
+	// "tempering".
 	Batch int `json:"batch,omitempty"`
 	// G is the g-class row label from the paper's tables (default "g = 1"),
 	// or "[COHO83a]" for the Cohoon–Sahni function on netlist problems.

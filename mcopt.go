@@ -76,9 +76,9 @@ type (
 	// coupled Figure-1 chains at staggered temperature levels; see
 	// core.Tempering.
 	Tempering = core.Tempering
-	// BatchEvaluator is a Solution that can evaluate a block of candidate
-	// moves against committed state in one call; see
-	// problem.BatchEvaluator.
+	// BatchEvaluator is a Solution that can draw a block of candidate
+	// moves in one call and evaluate them one at a time against committed
+	// state; see problem.BatchEvaluator.
 	BatchEvaluator = problem.BatchEvaluator
 	// ChainStat aggregates one tempering chain's activity; see
 	// core.ChainStat.

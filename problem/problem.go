@@ -41,9 +41,9 @@ type (
 	// Enumerable adds whole-neighborhood enumeration, required by the
 	// Rejectionless strategy; see core.Enumerable.
 	Enumerable = core.Enumerable
-	// BatchEvaluator adds block proposal evaluation, exploited by the
-	// Figure-1 and tempering engines when Batch > 1; see
-	// core.BatchEvaluator.
+	// BatchEvaluator adds block proposal draws with candidates evaluated
+	// one at a time, used by the Figure-1 and tempering engines when
+	// Batch > 1; see core.BatchEvaluator.
 	BatchEvaluator = core.BatchEvaluator
 	// Budget meters attempted perturbations; Descend implementations charge
 	// it per evaluation. See core.Budget.
